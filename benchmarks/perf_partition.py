@@ -3,14 +3,17 @@
 Runs the paper's default E3 acceptance sweep (4 cores, 12 tasks,
 normalized utilization 0.600..1.000 in 0.025 steps, paper-calibrated
 overheads, FP-TS + FFD + WFD) twice — once on the incremental per-core
-analysis contexts (:mod:`repro.analysis.incremental`) and once on the
-from-scratch reference contexts — and writes ``BENCH_partition.json``
-at the repo root with:
+analysis contexts (:mod:`repro.analysis.incremental`) and once under
+:func:`~repro.analysis.incremental.oracle_contexts`, where every probe
+is answered cold by the plain :mod:`repro.analysis.rta` /
+:mod:`repro.analysis.edf` — and writes ``BENCH_partition.json`` at the
+repo root with:
 
-* per-mode wall-clock time and the incremental/scratch speedup;
+* per-mode wall-clock time and the oracle/incremental speedup;
 * per-mode analysis work counters (fixed-point iterations, probes,
-  budget searches) from :data:`repro.analysis.STATS`, republished as
-  the ``ana_*`` metric family;
+  budget searches) from :data:`repro.analysis.STATS` — the oracle's
+  iterations counted around :func:`repro.analysis.rta.response_time`
+  in an untimed pass — republished as the ``ana_*`` metric family;
 * the acceptance counts of both modes, which **must be identical** —
   the harness exits non-zero on any divergence (CI runs it with
   ``--quick`` as a smoke gate; ``repro verify`` carries the stronger
@@ -20,21 +23,23 @@ Run it from the repo root::
 
     PYTHONPATH=src python benchmarks/perf_partition.py [--quick]
 
-Notes on honesty: the scratch baseline is the *deduplicated* from-scratch
-context (each budget probed once, as the incremental engine does), so the
-recorded speedup isolates memoization + warm starts and does not take
-credit for the duplicate-probe bugfix, which benefits both modes.
+Notes on honesty: the oracle arm shares the budget search of the
+incremental contexts (each budget probed once), so the recorded speedup
+isolates memoization + warm starts and does not take credit for the
+duplicate-probe bugfix, which benefits both modes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
 import time
 
-from repro.analysis import STATS
+from repro.analysis import STATS, rta
+from repro.analysis.incremental import oracle_contexts
 from repro.experiments.algorithms import build_assignment
 from repro.metrics import MetricsRegistry, record_analysis_stats
 from repro.model.generator import TaskSetGenerator
@@ -72,38 +77,65 @@ def _tasksets(sets_per_point: int) -> list:
     return out
 
 
+@contextlib.contextmanager
+def _counting_cold_iterations():
+    """Count the fixed-point iterations of :func:`rta.response_time`,
+    which keeps no counters of its own: it walks its interferer list
+    exactly once per iteration, so count the walks."""
+    counter = {"iterations": 0}
+
+    class Interferers(list):
+        def __iter__(self):
+            counter["iterations"] += 1
+            return super().__iter__()
+
+    original = rta.response_time
+    rta.response_time = lambda budget, higher, limit: original(
+        budget, Interferers(higher), limit
+    )
+    try:
+        yield counter
+    finally:
+        rta.response_time = original
+
+
 def run_sweep(
     workloads: list,
     model: OverheadModel,
-    incremental: bool,
+    mode: str,
     repeats: int = 1,
 ) -> dict:
-    """One full sweep in one analysis mode: best-of-``repeats`` wall
-    time, work counters (single pass — deterministic), and per-algorithm
-    acceptance counts keyed by grid point."""
+    """One full sweep per analysis ``mode`` (``"incremental"``, or
+    ``"oracle"`` under :func:`oracle_contexts`): an untimed pass for the
+    work counters and per-algorithm acceptance counts keyed by grid
+    point, then best-of-``repeats`` timed passes."""
+    oracle = mode == "oracle"
+    scope = oracle_contexts if oracle else contextlib.nullcontext
+    counting = _counting_cold_iterations if oracle else contextlib.nullcontext
     accepts = {alg: {} for alg in ALGORITHMS}
-    walls = []
-    stats = None
-    for repeat in range(repeats):
-        if repeat == 0:
-            STATS.reset()
-        t0 = time.perf_counter()
+    STATS.reset()
+    with scope(), counting() as cold:
         for point, taskset in workloads:
             for alg in ALGORITHMS:
-                assignment = build_assignment(
-                    alg, taskset, N_CORES, model, incremental=incremental
+                assignment = build_assignment(alg, taskset, N_CORES, model)
+                key = f"{point:.3f}"
+                accepts[alg][key] = accepts[alg].get(key, 0) + (
+                    1 if assignment is not None else 0
                 )
-                if repeat == 0:
-                    key = f"{point:.3f}"
-                    accepts[alg][key] = accepts[alg].get(key, 0) + (
-                        1 if assignment is not None else 0
-                    )
+    stats = STATS.snapshot()
+    STATS.reset()
+    if cold is not None:
+        stats["fixpoint_iterations"] = cold["iterations"]
+    walls = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        with scope():
+            for _point, taskset in workloads:
+                for alg in ALGORITHMS:
+                    build_assignment(alg, taskset, N_CORES, model)
         walls.append(time.perf_counter() - t0)
-        if repeat == 0:
-            stats = STATS.snapshot()
-            STATS.reset()
     return {
-        "mode": "incremental" if incremental else "scratch",
+        "mode": mode,
         "wall_s": round(min(walls), 4),
         "analysis_stats": stats,
         "accepts": accepts,
@@ -139,35 +171,35 @@ def main(argv=None) -> int:
     for _point, taskset in workloads:
         inflate_taskset(taskset, model)
 
-    scratch = run_sweep(workloads, model, incremental=False, repeats=repeats)
+    oracle = run_sweep(workloads, model, "oracle", repeats=repeats)
     print(
-        f"  scratch     {scratch['wall_s']}s "
-        f"({scratch['analysis_stats']['fixpoint_iterations']} fixed-point "
+        f"  oracle      {oracle['wall_s']}s "
+        f"({oracle['analysis_stats']['fixpoint_iterations']} fixed-point "
         f"iterations)"
     )
-    incremental = run_sweep(workloads, model, incremental=True, repeats=repeats)
+    incremental = run_sweep(workloads, model, "incremental", repeats=repeats)
     print(
         f"  incremental {incremental['wall_s']}s "
         f"({incremental['analysis_stats']['fixpoint_iterations']} fixed-point "
         f"iterations)"
     )
 
-    if scratch["accepts"] != incremental["accepts"]:
+    if oracle["accepts"] != incremental["accepts"]:
         print(
-            "FAIL: incremental and from-scratch analysis disagree on "
+            "FAIL: incremental and oracle analysis disagree on "
             "acceptance — analysis engines diverged",
             file=sys.stderr,
         )
         return 1
 
     speedup = (
-        round(scratch["wall_s"] / incremental["wall_s"], 2)
+        round(oracle["wall_s"] / incremental["wall_s"], 2)
         if incremental["wall_s"]
         else None
     )
     iteration_ratio = (
         round(
-            scratch["analysis_stats"]["fixpoint_iterations"]
+            oracle["analysis_stats"]["fixpoint_iterations"]
             / incremental["analysis_stats"]["fixpoint_iterations"],
             2,
         )
@@ -177,9 +209,7 @@ def main(argv=None) -> int:
     print(f"  speedup {speedup}x wall, {iteration_ratio}x fewer iterations")
 
     registry = MetricsRegistry()
-    record_analysis_stats(
-        registry, scratch["analysis_stats"], mode="scratch"
-    )
+    record_analysis_stats(registry, oracle["analysis_stats"], mode="oracle")
     record_analysis_stats(
         registry, incremental["analysis_stats"], mode="incremental"
     )
@@ -199,7 +229,7 @@ def main(argv=None) -> int:
             "seed": SEED,
             "overheads": "paper_core_i7(3)",
         },
-        "scratch": scratch,
+        "oracle": oracle,
         "incremental": incremental,
         "identical_acceptance": True,
         "speedup": speedup,

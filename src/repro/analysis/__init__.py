@@ -30,8 +30,6 @@ from repro.analysis.incremental import (
     AnalysisStats,
     CoreAnalysisContext,
     EdfCoreContext,
-    EdfScratchContext,
-    ScratchRtaContext,
     make_edf_context,
     make_rta_context,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "AnalysisStats",
     "CoreAnalysisContext",
     "EdfCoreContext",
-    "EdfScratchContext",
-    "ScratchRtaContext",
     "make_edf_context",
     "make_rta_context",
     "liu_layland_bound",

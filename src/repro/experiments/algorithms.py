@@ -46,8 +46,8 @@ from repro.semipart.fpts import FptsConfig, fpts_partition
 from repro.semipart.pdms import PdmsConfig, pdms_hpts_partition
 from repro.semipart.spa import spa1_partition, spa2_partition
 
-# (taskset, n_cores, model, incremental=True) -> assignment or None
-PartitionFn = Callable[..., Optional[Assignment]]
+# (taskset, n_cores, model) -> assignment or None
+PartitionFn = Callable[[TaskSet, int, OverheadModel], Optional[Assignment]]
 
 
 @dataclass(frozen=True)
@@ -68,35 +68,27 @@ class AlgorithmSpec:
 
 
 def _with_inflation(
-    partition: Callable[..., Optional[Assignment]],
+    partition: Callable[[TaskSet, int], Optional[Assignment]],
 ) -> PartitionFn:
     def run(
-        taskset: TaskSet,
-        n_cores: int,
-        model: OverheadModel,
-        incremental: bool = True,
+        taskset: TaskSet, n_cores: int, model: OverheadModel
     ) -> Optional[Assignment]:
-        inflated = inflate_taskset(taskset, model)
-        return partition(inflated, n_cores, incremental=incremental)
+        return partition(inflate_taskset(taskset, model), n_cores)
 
     return run
 
 
-def _global_edf(
-    taskset: TaskSet, n_cores: int, incremental: bool = True
-) -> Optional[Assignment]:
+def _global_edf(taskset: TaskSet, n_cores: int) -> Optional[Assignment]:
     """GFB acceptance; returns a placeholder assignment (global scheduling
-    produces no partition — simulate with :class:`repro.kernel.GlobalSim`).
-    ``incremental`` is accepted for registry uniformity (no per-core
-    analysis to memoize)."""
+    produces no partition — simulate
+    :func:`repro.kernel.global_sim.build_global_assignment` under the
+    ``global-edf`` scheduling class)."""
     if global_edf_gfb_schedulable(taskset, n_cores):
         return Assignment(n_cores)
     return None
 
 
-def _global_rm(
-    taskset: TaskSet, n_cores: int, incremental: bool = True
-) -> Optional[Assignment]:
+def _global_rm(taskset: TaskSet, n_cores: int) -> Optional[Assignment]:
     """RM-US acceptance; placeholder assignment as for ``_global_edf``."""
     if global_rm_us_schedulable(taskset, n_cores):
         return Assignment(n_cores)
@@ -104,10 +96,7 @@ def _global_rm(
 
 
 def _fpts(
-    taskset: TaskSet,
-    n_cores: int,
-    model: OverheadModel,
-    incremental: bool = True,
+    taskset: TaskSet, n_cores: int, model: OverheadModel
 ) -> Optional[Assignment]:
     inflated = inflate_taskset(taskset, model)
     max_wss = max((task.wss for task in taskset), default=0)
@@ -115,15 +104,11 @@ def _fpts(
         inflated,
         n_cores,
         FptsConfig.from_model(model, cpmd_wss=max_wss),
-        incremental=incremental,
     )
 
 
 def _cd_split(
-    taskset: TaskSet,
-    n_cores: int,
-    model: OverheadModel,
-    incremental: bool = True,
+    taskset: TaskSet, n_cores: int, model: OverheadModel
 ) -> Optional[Assignment]:
     inflated = inflate_taskset(taskset, model)
     max_wss = max((task.wss for task in taskset), default=0)
@@ -131,15 +116,11 @@ def _cd_split(
         inflated,
         n_cores,
         CdSplitConfig.from_model(model, cpmd_wss=max_wss),
-        incremental=incremental,
     )
 
 
 def _pdms(
-    taskset: TaskSet,
-    n_cores: int,
-    model: OverheadModel,
-    incremental: bool = True,
+    taskset: TaskSet, n_cores: int, model: OverheadModel
 ) -> Optional[Assignment]:
     from repro.overhead.accounting import (
         migration_in_overhead,
@@ -152,9 +133,7 @@ def _pdms(
         split_cost=migration_in_overhead(model, max_wss),
         split_cost_out=migration_out_overhead(model),
     )
-    return pdms_hpts_partition(
-        inflated, n_cores, config, incremental=incremental
-    )
+    return pdms_hpts_partition(inflated, n_cores, config)
 
 
 ALGORITHMS: Dict[str, AlgorithmSpec] = {
@@ -263,13 +242,8 @@ def build_assignment(
     taskset: TaskSet,
     n_cores: int,
     model: OverheadModel = OverheadModel.zero(),
-    incremental: bool = True,
 ) -> Optional[Assignment]:
-    """Run ``algorithm`` and return its assignment (None = rejected).
-
-    ``incremental=False`` forces the from-scratch analysis contexts in
-    the partitioners (the differential reference; identical result).
-    """
+    """Run ``algorithm`` and return its assignment (None = rejected)."""
     try:
         spec = ALGORITHMS[algorithm]
     except KeyError:
@@ -277,7 +251,7 @@ def build_assignment(
             f"unknown algorithm {algorithm!r}; choose from "
             f"{sorted(ALGORITHMS)}"
         ) from None
-    return spec.fn(taskset, n_cores, model, incremental=incremental)
+    return spec.fn(taskset, n_cores, model)
 
 
 def accept(
@@ -285,19 +259,9 @@ def accept(
     taskset: TaskSet,
     n_cores: int,
     model: OverheadModel = OverheadModel.zero(),
-    incremental: bool = True,
 ) -> bool:
     """True iff the overhead-aware analysis accepts the task set."""
-    return (
-        build_assignment(
-            taskset=taskset,
-            algorithm=algorithm,
-            n_cores=n_cores,
-            model=model,
-            incremental=incremental,
-        )
-        is not None
-    )
+    return build_assignment(algorithm, taskset, n_cores, model) is not None
 
 
 #: Algorithms the batch layer can express: plain decreasing-utilization

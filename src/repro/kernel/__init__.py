@@ -21,13 +21,13 @@ simulator delegates every queue decision to a :class:`SchedulingClass`,
 with registered classes for semi-partitioned FP (the default), per-core
 EDF, restricted-migration semi-partitioning, shared-queue global EDF/RM,
 and an EEVDF-style fair class for background work.
-:class:`~repro.kernel.legacy.LegacyKernelSim` is a frozen snapshot of
-the pre-plugin monolithic simulator kept as the bit-identity reference
-for the ``legacy-vs-plugin`` differential pair.
+``repro.kernel.legacy.LegacyKernelSim`` is a frozen snapshot of the
+pre-plugin monolithic simulator kept as the bit-identity reference for
+the ``legacy-vs-plugin`` differential pair; it is not imported here, so
+import it from :mod:`repro.kernel.legacy` directly.
 """
 
 from repro.kernel.events import EventQueue, Event
-from repro.kernel.legacy import LegacyKernelSim
 from repro.kernel.runtime import Job, RTTask, Stage, build_runtime_tasks
 from repro.kernel.sched_class import (
     BACKGROUND_KEY,
@@ -37,11 +37,7 @@ from repro.kernel.sched_class import (
     make_sched_class,
 )
 from repro.kernel.sim import KernelSim, SimulationResult, DeadlineMiss
-from repro.kernel.global_sim import (
-    GlobalSim,
-    GlobalSimResult,
-    build_global_assignment,
-)
+from repro.kernel.global_sim import build_global_assignment
 
 __all__ = [
     "BACKGROUND_KEY",
@@ -49,7 +45,6 @@ __all__ = [
     "Event",
     "FAIR_KEY_BASE",
     "Job",
-    "LegacyKernelSim",
     "RTTask",
     "SCHED_CLASSES",
     "SchedulingClass",
@@ -60,6 +55,4 @@ __all__ = [
     "KernelSim",
     "SimulationResult",
     "DeadlineMiss",
-    "GlobalSim",
-    "GlobalSimResult",
 ]

@@ -2,51 +2,25 @@
 
 The paper's introduction contrasts partitioning with "the global approach
 [where] each task can execute on any available processor at run time".
-:class:`GlobalSim` provides that baseline: a single system-wide ready
-queue, ``m`` identical cores, full migration at zero cost, and either
-global rate-monotonic (``g-rm``) or global EDF (``g-edf``) priorities.
+That baseline is :class:`~repro.kernel.sim.KernelSim` running the
+``global-rm`` / ``global-edf`` scheduling classes
+(:mod:`repro.kernel.sched_class`): a single system-wide ready queue,
+``m`` identical cores and full migration.  With
+``OverheadModel.zero()`` it is the *idealised* comparison — e.g. Dhall's
+effect, where global RM misses deadlines at low utilization that
+partitioned/semi-partitioned scheduling handles trivially — and any
+other overhead model gives an overhead-aware global run.
 
-It used to be a standalone event loop duplicating the kernel simulator's
-heap and dispatch machinery; it is now a thin adapter over
-:class:`~repro.kernel.sim.KernelSim` running the ``global-rm`` /
-``global-edf`` scheduling classes (:mod:`repro.kernel.sched_class`) with
-a zero overhead model — one simulator, one event queue, one set of
-counters, and the global classes inherit fault injection, tracing and
-the invariant oracles that the old loop never had.
-
-It stays deliberately *idealised* (no kernel overheads): the comparison
-of interest is algorithmic — e.g. Dhall's effect, where global RM misses
-deadlines at low utilization that partitioned/semi-partitioned
-scheduling handles trivially — while overhead-aware global runs can be
-had directly from ``KernelSim(..., sched_class="global-edf")`` with any
-overhead model.
+:func:`build_global_assignment` packs a task set into the static
+assignment shape those classes expect.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Iterable
 
 from repro.model.assignment import Assignment, Entry, EntryKind
 from repro.model.task import Task
-from repro.model.taskset import TaskSet
-from repro.overhead.model import OverheadModel
-
-
-@dataclass
-class GlobalSimResult:
-    duration: int
-    policy: str
-    misses: int
-    releases: int
-    completions: int
-    preemptions: int
-    migrations: int
-    max_response: Dict[str, int]
-
-    @property
-    def no_misses(self) -> bool:
-        return self.misses == 0
 
 
 def build_global_assignment(
@@ -55,7 +29,19 @@ def build_global_assignment(
     """Pack every task as a NORMAL entry on core 0 of an ``n_cores``
     assignment — the shape the global scheduling classes expect (they
     share one ready heap; per-core placement is a runtime decision, so
-    the static assignment only carries the task parameters)."""
+    the static assignment only carries the task parameters).
+
+    >>> from repro.kernel.sim import KernelSim
+    >>> from repro.model.task import Task
+    >>> from repro.model.taskset import TaskSet
+    >>> from repro.overhead.model import OverheadModel
+    >>> ts = TaskSet([Task("a", wcet=4, period=10),
+    ...               Task("b", wcet=4, period=10)]).assign_rate_monotonic()
+    >>> sim = KernelSim(build_global_assignment(ts, 2), OverheadModel.zero(),
+    ...                 100, sched_class="global-rm")
+    >>> sim.run().misses
+    []
+    """
     assignment = Assignment(n_cores)
     for rank, task in enumerate(sorted(tasks, key=lambda t: t.name)):
         assignment.add_entry(
@@ -69,79 +55,3 @@ def build_global_assignment(
             )
         )
     return assignment
-
-
-class GlobalSim:
-    """Simulate global FP ("g-rm") or global EDF ("g-edf") scheduling.
-
-    >>> from repro.model.task import Task
-    >>> from repro.model.taskset import TaskSet
-    >>> ts = TaskSet([Task("a", wcet=4, period=10),
-    ...               Task("b", wcet=4, period=10)]).assign_rate_monotonic()
-    >>> GlobalSim(ts, n_cores=2, policy="g-rm", duration=100).run().misses
-    0
-    """
-
-    def __init__(
-        self,
-        taskset: TaskSet,
-        n_cores: int,
-        policy: str,
-        duration: int,
-    ) -> None:
-        if policy not in ("g-rm", "g-edf"):
-            raise ValueError(f"unknown policy {policy!r}")
-        if n_cores <= 0:
-            raise ValueError("need at least one core")
-        if duration <= 0:
-            raise ValueError("duration must be positive")
-        if policy == "g-rm":
-            for task in taskset:
-                if task.priority is None:
-                    raise ValueError(
-                        f"task {task.name} has no priority; g-rm needs RM "
-                        "priorities"
-                    )
-        self.taskset = taskset
-        self.n_cores = n_cores
-        self.policy = policy
-        self.duration = duration
-        from repro.kernel.sim import KernelSim
-
-        self._sim = KernelSim(
-            build_global_assignment(taskset, n_cores),
-            OverheadModel.zero(),
-            duration,
-            sched_class=(
-                "global-rm" if policy == "g-rm" else "global-edf"
-            ),
-        )
-
-    def run(self) -> GlobalSimResult:
-        """Execute the simulation and distil the global-side counters.
-
-        Miss semantics match the historical standalone loop: a release
-        overrunning its unfinished predecessor and a late completion
-        each count one miss; jobs merely unfinished at the horizon do
-        not (their completion event simply never fired).
-        """
-        result = self._sim.run()
-        misses = sum(
-            1 for miss in result.misses if miss.kind in ("overrun", "late")
-        )
-        return GlobalSimResult(
-            duration=self.duration,
-            policy=self.policy,
-            misses=misses,
-            releases=result.releases,
-            completions=sum(
-                stats.jobs_completed
-                for stats in result.task_stats.values()
-            ),
-            preemptions=result.preemptions,
-            migrations=result.migrations,
-            max_response={
-                name: stats.max_response
-                for name, stats in result.task_stats.items()
-            },
-        )

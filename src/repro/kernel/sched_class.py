@@ -57,7 +57,7 @@ Available classes (``SCHED_CLASSES``)
     True global scheduling: one shared ready heap, a released job goes
     to an idle core (or preempts the worst-priority runner), and the
     ``after_sched`` waterfall keeps the schedule work-conserving.
-    Replaces the old standalone ``GlobalSim`` event loop.
+    Pair with :func:`repro.kernel.global_sim.build_global_assignment`.
 ``fair``
     An EEVDF-style best-effort class for background tasks coexisting
     with the hard-RT classes (``KernelSim(fair_tasks=...)``): jobs are

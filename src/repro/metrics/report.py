@@ -160,7 +160,7 @@ def record_analysis_stats(
 ) -> None:
     """Publish an :class:`repro.analysis.incremental.AnalysisStats`
     snapshot as ``ana_*`` counters, labelled by analysis ``mode``
-    (``"incremental"`` or ``"scratch"``).
+    (e.g. ``"incremental"`` or ``"oracle"``).
 
     The ``ana_*`` family follows the ``sim_*`` convention — the numbers
     are deterministic functions of the task set and analysis mode, so a

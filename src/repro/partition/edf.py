@@ -27,18 +27,13 @@ def edf_admission(entries: Sequence[Entry]) -> bool:
 
 # Context-backed admission for partition_taskset: cached resident triples
 # between probes.  No C<=D pre-check — the plain test above has none.
-edf_admission.context_factory = (
-    lambda incremental: make_edf_context(
-        incremental=incremental, precheck_cd=False
-    )
-)
+edf_admission.context_factory = lambda: make_edf_context(precheck_cd=False)
 
 
 def partition_edf(
     taskset: TaskSet,
     n_cores: int,
     placement: Placement = Placement.FIRST_FIT,
-    incremental: bool = True,
 ) -> Optional[Assignment]:
     """Partition for per-core EDF scheduling.
 
@@ -46,22 +41,16 @@ def partition_edf(
     shared bookkeeping) but play no role in the admission decision or at
     run time — simulate the result with ``KernelSim(..., policy="edf")``.
     """
-    return partition_taskset(
-        taskset, n_cores, placement, edf_admission, incremental=incremental
-    )
+    return partition_taskset(taskset, n_cores, placement, edf_admission)
 
 
 def partition_edf_first_fit(
-    taskset: TaskSet, n_cores: int, incremental: bool = True
+    taskset: TaskSet, n_cores: int
 ) -> Optional[Assignment]:
-    return partition_edf(
-        taskset, n_cores, Placement.FIRST_FIT, incremental=incremental
-    )
+    return partition_edf(taskset, n_cores, Placement.FIRST_FIT)
 
 
 def partition_edf_worst_fit(
-    taskset: TaskSet, n_cores: int, incremental: bool = True
+    taskset: TaskSet, n_cores: int
 ) -> Optional[Assignment]:
-    return partition_edf(
-        taskset, n_cores, Placement.WORST_FIT, incremental=incremental
-    )
+    return partition_edf(taskset, n_cores, Placement.WORST_FIT)

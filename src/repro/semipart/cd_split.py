@@ -28,13 +28,13 @@ The produced assignments carry per-stage deadlines, so
 ``KernelSim(..., policy="edf")`` executes them directly.
 
 Admission runs on per-core demand-bound contexts from
-:mod:`repro.analysis.incremental`: the default
+:mod:`repro.analysis.incremental`: the
 :class:`~repro.analysis.incremental.EdfCoreContext` caches resident
 triples and restricts the ``C <= D`` pre-check to the candidate
-(residents already passed it at their own admission);
-``incremental=False`` selects the from-scratch
-:class:`~repro.analysis.incremental.EdfScratchContext`.  Both produce
-bit-identical assignments (``repro.verify.differential``).  Body ranks
+(residents already passed it at their own admission).  The
+``incremental-vs-oracle`` pair of ``repro.verify.differential`` checks
+every assignment against a rerun on plain
+:func:`repro.analysis.edf.edf_schedulable`.  Body ranks
 are reserved at commit time: a failed split leaves the splitter as if
 the attempt never happened.
 """
@@ -99,13 +99,10 @@ def _triple(entry: Entry, config: CdSplitConfig) -> Tuple[int, int, int]:
 
 
 class _CdSplitter:
-    def __init__(
-        self, n_cores: int, config: CdSplitConfig, incremental: bool = True
-    ) -> None:
+    def __init__(self, n_cores: int, config: CdSplitConfig) -> None:
         self.config = config
         self.contexts = [
             make_edf_context(
-                incremental=incremental,
                 triple_fn=lambda e: _triple(e, config),
                 precheck_cd=True,
             )
@@ -282,12 +279,8 @@ def cd_split_partition(
     taskset: TaskSet,
     n_cores: int,
     config: CdSplitConfig = CdSplitConfig(),
-    incremental: bool = True,
 ) -> Optional[Assignment]:
     """Semi-partitioned EDF with C=D splitting; None if infeasible.
-
-    ``incremental=False`` runs on the from-scratch demand-bound context
-    (differential reference; bit-identical result).
 
     >>> from repro.model import Task, TaskSet
     >>> ts = TaskSet([
@@ -306,7 +299,7 @@ def cd_split_partition(
                 "assign_rate_monotonic() first (priorities order the "
                 "entry bookkeeping even though EDF ignores them)"
             )
-    splitter = _CdSplitter(n_cores, config, incremental=incremental)
+    splitter = _CdSplitter(n_cores, config)
     for task in taskset.sorted_by_utilization(descending=True):
         if splitter.try_whole(task):
             continue

@@ -35,12 +35,11 @@ Soundness bookkeeping:
   simulator.
 
 Admission runs on per-core analysis contexts from
-:mod:`repro.analysis.incremental`: the default
+:mod:`repro.analysis.incremental`: the
 :class:`~repro.analysis.incremental.CoreAnalysisContext` memoizes
-response times between probes (``incremental=False`` selects the
-from-scratch :class:`~repro.analysis.incremental.ScratchRtaContext`;
-both provably produce the same assignment — see
-``repro.verify.differential``).  Body ranks are *reserved at commit
+response times between probes (the ``incremental-vs-oracle`` pair of
+``repro.verify.differential`` checks every assignment against a rerun on
+plain :mod:`repro.analysis.rta`).  Body ranks are *reserved at commit
 time*: a failed split attempt leaves the splitter exactly as if it had
 never been tried.
 """
@@ -142,14 +141,11 @@ def _analysis_budget(entry: Entry, config: FptsConfig) -> int:
 class _Splitter:
     """Carries the mutable state of one fpts_partition run."""
 
-    def __init__(
-        self, n_cores: int, config: FptsConfig, incremental: bool = True
-    ) -> None:
+    def __init__(self, n_cores: int, config: FptsConfig) -> None:
         self.config = config
         budget_fn: Callable[[Entry], int] = lambda e: _analysis_budget(e, config)
         self.contexts = [
-            make_rta_context(incremental=incremental, budget_fn=budget_fn)
-            for _ in range(n_cores)
+            make_rta_context(budget_fn=budget_fn) for _ in range(n_cores)
         ]
         self.body_rank = 0
         self.splits: List[SplitTask] = []
@@ -351,13 +347,10 @@ def fpts_partition(
     taskset: TaskSet,
     n_cores: int,
     config: FptsConfig = FptsConfig(),
-    incremental: bool = True,
 ) -> Optional[Assignment]:
     """Partition ``taskset`` with FP-TS; returns ``None`` if infeasible.
 
     Tasks must carry global (rate-monotonic) priorities.
-    ``incremental=False`` runs the same algorithm on the from-scratch
-    analysis context (differential reference; bit-identical result).
 
     >>> from repro.model import Task, TaskSet
     >>> ts = TaskSet([
@@ -376,7 +369,7 @@ def fpts_partition(
                 f"task {task.name} has no priority; call "
                 "assign_rate_monotonic() before partitioning"
             )
-    splitter = _Splitter(n_cores, config, incremental=incremental)
+    splitter = _Splitter(n_cores, config)
     for task in taskset.sorted_by_utilization(descending=True):
         if splitter.try_whole(task):
             continue

@@ -26,9 +26,10 @@ Entries and split bookkeeping follow the same conventions as FP-TS, so
 the produced assignments drive the analysis and kernel simulator directly.
 
 Admission runs on per-core analysis contexts from
-:mod:`repro.analysis.incremental` (incremental memoized RTA by default;
-``incremental=False`` selects the from-scratch reference — bit-identical
-assignments either way).  The speculative core rebuild of a split
+:mod:`repro.analysis.incremental` (memoized RTA; the
+``incremental-vs-oracle`` pair of ``repro.verify.differential`` checks
+every assignment against a rerun on plain :mod:`repro.analysis.rta`).
+The speculative core rebuild of a split
 attempt happens on a *clone* of the core's context, adopted only when
 the attempt succeeds; victim selection uses a placement-order shadow
 list so the choice is independent of how a context stores its entries.
@@ -118,15 +119,10 @@ def _entry_for(piece: _Piece, core: int, config: PdmsConfig) -> Entry:
 
 
 class _PdmsState:
-    def __init__(
-        self, n_cores: int, config: PdmsConfig, incremental: bool = True
-    ) -> None:
+    def __init__(self, n_cores: int, config: PdmsConfig) -> None:
         self.config = config
         self.contexts = [
-            make_rta_context(
-                incremental=incremental,
-                budget_fn=lambda e: _analysis_budget(e, config),
-            )
+            make_rta_context(budget_fn=lambda e: _analysis_budget(e, config))
             for _ in range(n_cores)
         ]
         # Placement-order view of each core (victim selection uses the
@@ -258,12 +254,8 @@ def pdms_hpts_partition(
     taskset: TaskSet,
     n_cores: int,
     config: PdmsConfig = PdmsConfig(),
-    incremental: bool = True,
 ) -> Optional[Assignment]:
     """PDMS_HPTS partitioning; returns None when infeasible.
-
-    ``incremental=False`` runs on the from-scratch analysis context
-    (differential reference; bit-identical result).
 
     >>> from repro.model import Task, TaskSet
     >>> ts = TaskSet([
@@ -281,7 +273,7 @@ def pdms_hpts_partition(
                 f"task {task.name} has no priority; call "
                 "assign_rate_monotonic() first"
             )
-    state = _PdmsState(n_cores, config, incremental=incremental)
+    state = _PdmsState(n_cores, config)
     queue: List[_Piece] = [
         _Piece(
             task=task,

@@ -22,7 +22,7 @@ from repro.verify.differential import (
     cross_class_sanity,
     empty_plan_vs_no_plan,
     freq1_vs_unscaled,
-    incremental_vs_scratch,
+    incremental_vs_oracle,
     legacy_vs_plugin,
     replay_vs_synthetic,
     result_to_canonical,
@@ -71,7 +71,7 @@ __all__ = [
     "empty_plan_vs_no_plan",
     "freq1_vs_unscaled",
     "full_check",
-    "incremental_vs_scratch",
+    "incremental_vs_oracle",
     "legacy_vs_plugin",
     "load_repro",
     "metamorphic_checks",

@@ -14,14 +14,18 @@ Ten pairs, each exercising a different redundancy in the codebase:
 * **tick-vs-event** — when every release instant is a multiple of the
   tick, deferring release processing to tick boundaries is a no-op, so
   tick-driven and event-driven runs must be bit-identical;
-* **incremental-vs-scratch** — every partitioner run on the incremental
+* **incremental-vs-oracle** — every partitioner run on the incremental
   analysis contexts (:mod:`repro.analysis.incremental`) must produce a
   bit-identical :class:`~repro.model.assignment.Assignment` to the same
-  run on the from-scratch contexts, over seeded random task sets across
+  run under :func:`~repro.analysis.incremental.oracle_contexts`, whose
+  adapters answer every probe cold through the untouched
+  :mod:`repro.analysis.rta` / :mod:`repro.analysis.edf` (no fixed-point
+  code shared with the contexts), over seeded random task sets across
   the utilization grid;
 * **batch-vs-scratch** — the struct-of-arrays batch kernels
   (:mod:`repro.analysis.batch`) must produce bit-identical accept/reject
-  vectors to the from-scratch scalar contexts on whole populations, and
+  vectors to the scalar partitioners run under ``oracle_contexts()`` on
+  whole populations, and
   the batched RTA fixed point must return the identical integer response
   times as the scalar analyzer on every accepted core;
 * **legacy-vs-plugin** — :class:`~repro.kernel.legacy.LegacyKernelSim`
@@ -93,8 +97,11 @@ def result_to_canonical(result) -> dict:
 def _diff_canonical(a: dict, b: dict, label_a: str, label_b: str) -> List[str]:
     """Field-level differences between two canonical result dicts."""
     diffs: List[str] = []
-    for key in a:
-        if a[key] != b[key]:
+    for key in list(a) + [key for key in b if key not in a]:
+        if key not in a or key not in b:
+            only = label_a if key in a else label_b
+            diffs.append(f"{key}: only in {only}")
+        elif a[key] != b[key]:
             va, vb = a[key], b[key]
             if isinstance(va, list) and isinstance(vb, list):
                 detail = f"{len(va)} vs {len(vb)} entries"
@@ -319,20 +326,22 @@ def assignment_to_canonical(assignment) -> dict:
     }
 
 
-#: Algorithms with a real incremental/scratch analysis path (the global
-#: tests have no per-core analysis; SPA2 covers the SPA container use).
+#: Algorithms that run on per-core analysis contexts (the global tests
+#: have no per-core analysis; SPA2 covers the SPA container use).
 _INCREMENTAL_ALGORITHMS = ("FP-TS", "PDMS", "C=D", "SPA2", "FFD", "WFD", "P-EDF")
 
 
-def incremental_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
-    """Partitioners on incremental vs. from-scratch analysis contexts.
+def incremental_vs_oracle(trials: int = 20, seed: int = 0) -> List[str]:
+    """Partitioners on the incremental contexts vs. the plain analyses.
 
     Draws seeded random task sets across the utilization grid (alternating
     zero and paper-calibrated overhead models) and asserts that every
     algorithm's assignment — accept/reject verdict, every entry's budget,
     deadline, jitter, rank, local priority, and the split registry — is
-    bit-identical between ``incremental=True`` and ``incremental=False``.
+    bit-identical to the same run under
+    :func:`~repro.analysis.incremental.oracle_contexts`.
     """
+    from repro.analysis.incremental import oracle_contexts
     from repro.experiments.algorithms import build_assignment
 
     diffs: List[str] = []
@@ -355,18 +364,15 @@ def incremental_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
         taskset = generator.generate(utilization)
         for algorithm in _INCREMENTAL_ALGORITHMS:
             fast = assignment_to_canonical(
-                build_assignment(
-                    algorithm, taskset, n_cores, model, incremental=True
-                )
+                build_assignment(algorithm, taskset, n_cores, model)
             )
-            reference = assignment_to_canonical(
-                build_assignment(
-                    algorithm, taskset, n_cores, model, incremental=False
+            with oracle_contexts():
+                reference = assignment_to_canonical(
+                    build_assignment(algorithm, taskset, n_cores, model)
                 )
-            )
             if fast != reference:
                 detail = _diff_canonical(
-                    fast, reference, "incremental", "scratch"
+                    fast, reference, "incremental", "oracle"
                 )
                 diffs.append(
                     f"trial {trial} ({algorithm}, m={n_cores}, "
@@ -389,8 +395,10 @@ def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
     arrays, and asserts two bit-level identities:
 
     * the batch accept/reject vector of every batchable algorithm equals
-      the per-set verdicts of the scalar partitioners on from-scratch
-      contexts (``incremental=False`` — the most independent reference);
+      the per-set verdicts of the scalar partitioners run under
+      :func:`~repro.analysis.incremental.oracle_contexts` (every probe
+      answered cold by :mod:`repro.analysis.rta` / :mod:`repro.analysis.edf`
+      — the most independent reference);
     * on every core of every accepted FFD assignment, the batched RTA
       fixed point returns the identical integer response times as the
       scalar :func:`~repro.analysis.rta.core_schedulable`.
@@ -401,6 +409,7 @@ def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
         TaskSetPopulation,
         batch_rta_responses,
     )
+    from repro.analysis.incremental import oracle_contexts
     from repro.analysis.rta import core_schedulable, order_entries
     from repro.experiments.algorithms import (
         accept_population,
@@ -431,12 +440,11 @@ def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
             batch_verdicts = accept_population(
                 algorithm, population, n_cores, model=model
             )
-            scalar = [
-                build_assignment(
-                    algorithm, ts, n_cores, model, incremental=False
-                )
-                for ts in tasksets
-            ]
+            with oracle_contexts():
+                scalar = [
+                    build_assignment(algorithm, ts, n_cores, model)
+                    for ts in tasksets
+                ]
             if algorithm == "FFD":
                 assignments = scalar
             scalar_verdicts = [a is not None for a in scalar]
@@ -890,7 +898,7 @@ DIFFERENTIAL_PAIRS = (
     "serial-vs-parallel",
     "empty-plan-vs-no-plan",
     "tick-vs-event",
-    "incremental-vs-scratch",
+    "incremental-vs-oracle",
     "batch-vs-scratch",
     "legacy-vs-plugin",
     "cross-class-sanity",
@@ -908,7 +916,7 @@ def run_differential_suite(
         "serial-vs-parallel": serial_vs_parallel(seed=seed, jobs=jobs),
         "empty-plan-vs-no-plan": empty_plan_vs_no_plan(seed=seed),
         "tick-vs-event": tick_vs_event(seed=seed),
-        "incremental-vs-scratch": incremental_vs_scratch(
+        "incremental-vs-oracle": incremental_vs_oracle(
             trials=trials, seed=seed
         ),
         "batch-vs-scratch": batch_vs_scratch(trials=trials, seed=seed),

@@ -1,4 +1,6 @@
-"""Tests for global scheduling: bounds and the idealised global simulator."""
+"""Tests for global scheduling: bounds, and the kernel simulator running
+the shared-queue ``global-rm`` / ``global-edf`` classes with zero
+overheads (the idealised global baseline)."""
 
 from __future__ import annotations
 
@@ -10,15 +12,32 @@ from repro.analysis.global_bounds import (
     global_rm_us_bound,
     global_rm_us_schedulable,
 )
-from repro.kernel.global_sim import GlobalSim
+from repro.kernel.global_sim import build_global_assignment
+from repro.kernel.sim import KernelSim
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
+from repro.overhead.model import OverheadModel
 
 
 def _ts(*specs):
     return TaskSet(
         [Task(f"t{i}", wcet=c, period=p) for i, (c, p) in enumerate(specs)]
     ).assign_rate_monotonic()
+
+
+def _global_sim(ts, n_cores, sched_class, duration):
+    return KernelSim(
+        build_global_assignment(ts, n_cores),
+        OverheadModel.zero(),
+        duration,
+        sched_class=sched_class,
+    )
+
+
+def _misses(result):
+    """Overrun and late misses; jobs merely unfinished at the horizon
+    do not count."""
+    return sum(1 for miss in result.misses if miss.kind in ("overrun", "late"))
 
 
 class TestBounds:
@@ -58,17 +77,19 @@ class TestBounds:
 
 
 class TestGlobalSim:
+    """Zero-overhead ``KernelSim`` runs under the global classes."""
+
     def test_two_light_tasks_two_cores(self):
         ts = _ts((4, 10), (4, 10))
-        result = GlobalSim(ts, n_cores=2, policy="g-rm", duration=100).run()
-        assert result.misses == 0
+        result = _global_sim(ts, 2, "global-rm", 100).run()
+        assert _misses(result) == 0
         assert result.releases == 20
 
     def test_work_conserving_three_on_two(self):
         # Three 0.4 tasks, two cores: global RM trivially fine.
         ts = _ts((4, 10), (4, 10), (4, 10))
-        result = GlobalSim(ts, n_cores=2, policy="g-rm", duration=200).run()
-        assert result.misses == 0
+        result = _global_sim(ts, 2, "global-rm", 200).run()
+        assert _misses(result) == 0
 
     def test_dhalls_effect(self):
         """m light short-period tasks + one heavy long task: global RM
@@ -78,8 +99,8 @@ class TestGlobalSim:
         tasks.append(Task("heavy", wcet=100, period=101))
         ts = TaskSet(tasks).assign_rate_monotonic()
         assert ts.total_utilization < m * 0.45  # far below capacity
-        result = GlobalSim(ts, n_cores=m, policy="g-rm", duration=1010).run()
-        assert result.misses > 0
+        result = _global_sim(ts, m, "global-rm", 1010).run()
+        assert _misses(result) > 0
 
     def test_partitioning_solves_dhall(self):
         """The same set is trivially partitionable — the paper's argument
@@ -96,47 +117,47 @@ class TestGlobalSim:
         # t2 is preempted on one core and resumes on the other when it
         # frees up first — a genuine migration.
         ts = _ts((2, 5), (6, 20), (6, 20))
-        result = GlobalSim(ts, n_cores=2, policy="g-edf", duration=200).run()
-        assert result.misses == 0
+        result = _global_sim(ts, 2, "global-edf", 200).run()
+        assert _misses(result) == 0
         assert result.migrations > 0
 
     def test_gedf_not_pfair(self):
         """Three 0.6 jobs per window on two cores: feasible only with
         mid-job parallel-slack use; job-level global EDF misses."""
         ts = _ts((6, 10), (6, 10), (6, 10))
-        result = GlobalSim(ts, n_cores=2, policy="g-edf", duration=200).run()
-        assert result.misses > 0
+        result = _global_sim(ts, 2, "global-edf", 200).run()
+        assert _misses(result) > 0
 
     def test_preemptions_counted(self):
         ts = _ts((2, 10), (9, 20))
-        result = GlobalSim(ts, n_cores=1, policy="g-rm", duration=200).run()
+        result = _global_sim(ts, 1, "global-rm", 200).run()
         assert result.preemptions > 0
 
     def test_g_edf_full_utilization_single_core(self):
         ts = _ts((5, 10), (7, 14))
-        result = GlobalSim(ts, n_cores=1, policy="g-edf", duration=700).run()
-        assert result.misses == 0
+        result = _global_sim(ts, 1, "global-edf", 700).run()
+        assert _misses(result) == 0
 
     def test_overload_misses(self):
         ts = _ts((8, 10), (8, 10), (8, 10))
-        result = GlobalSim(ts, n_cores=2, policy="g-edf", duration=200).run()
-        assert result.misses > 0
+        result = _global_sim(ts, 2, "global-edf", 200).run()
+        assert _misses(result) > 0
 
     def test_grm_requires_priorities(self):
         ts = TaskSet([Task("a", wcet=1, period=10)])
         with pytest.raises(ValueError):
-            GlobalSim(ts, n_cores=1, policy="g-rm", duration=10)
+            _global_sim(ts, 1, "global-rm", 10)
 
     def test_invalid_args(self):
         ts = _ts((1, 10))
         with pytest.raises(ValueError):
-            GlobalSim(ts, n_cores=0, policy="g-rm", duration=10)
+            _global_sim(ts, 0, "global-rm", 10)
         with pytest.raises(ValueError):
-            GlobalSim(ts, n_cores=1, policy="magic", duration=10)
+            _global_sim(ts, 1, "magic", 10)
         with pytest.raises(ValueError):
-            GlobalSim(ts, n_cores=1, policy="g-rm", duration=0)
+            _global_sim(ts, 1, "global-rm", 0)
 
     def test_max_response_recorded(self):
         ts = _ts((3, 10))
-        result = GlobalSim(ts, n_cores=1, policy="g-rm", duration=100).run()
-        assert result.max_response["t0"] == 3
+        result = _global_sim(ts, 1, "global-rm", 100).run()
+        assert result.task_stats["t0"].max_response == 3

@@ -3,28 +3,39 @@
 Four concerns:
 
 * the incremental :class:`~repro.analysis.incremental.CoreAnalysisContext`
-  must agree with the untouched from-scratch oracle
+  must agree with the untouched from-scratch analysis
   (:func:`repro.analysis.rta.core_schedulable`) on every per-entry
   response time and admission verdict, including ``tick_ns > 0``;
-* all partitioners must produce **bit-identical** assignments with
-  ``incremental=True`` and ``incremental=False`` across a seeded
-  utilization grid;
+* all partitioners must produce **bit-identical** assignments on the
+  plain contexts and under
+  :func:`~repro.analysis.incremental.oracle_contexts` (every probe
+  answered cold by ``repro.analysis.rta`` / ``repro.analysis.edf``)
+  across a seeded utilization grid;
 * ``probe_budget`` must evaluate each candidate budget at most once — the
-  from-scratch helpers it replaced probed the lower bound twice (the
-  duplicate-probe bug this PR fixes);
+  from-scratch helpers it replaced probed the lower bound twice;
 * a failed ``try_split`` must leave the splitter exactly as if the
-  attempt never happened — ``body_rank`` used to leak (the state-leak
-  bug this PR fixes).
+  attempt never happened — ``body_rank`` used to leak.
+
+Tests parametrized over ``fast`` run once on the plain contexts
+(``True``) and once under ``oracle_contexts()`` (``False``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 
 from repro.analysis import STATS, AnalysisStats, make_edf_context, make_rta_context
-from repro.analysis.rta import core_schedulable, order_entries
+from repro.analysis import rta
+from repro.analysis.incremental import (
+    CoreAnalysisContext,
+    EdfCoreContext,
+    oracle_contexts,
+)
+from repro.analysis.oracle import OracleEdfContext, OracleRtaContext
+from repro.analysis.rta import core_schedulable
 from repro.experiments.algorithms import build_assignment
 from repro.model.assignment import Entry, EntryKind
 from repro.model.generator import TaskSetGenerator
@@ -35,6 +46,11 @@ from repro.overhead.model import OverheadModel
 from repro.semipart.cd_split import CdSplitConfig, _CdSplitter
 from repro.semipart.fpts import FptsConfig, _Splitter
 from repro.verify import assignment_to_canonical
+
+
+def _scope(fast: bool):
+    """The plain contexts (``fast``) or the oracle adapters."""
+    return contextlib.nullcontext() if fast else oracle_contexts()
 
 
 def _normal_entry(task: Task, core: int = 0) -> Entry:
@@ -55,8 +71,9 @@ def _normal_entry(task: Task, core: int = 0) -> Entry:
 @pytest.mark.fuzz
 @pytest.mark.parametrize("tick_ns", [0, 100_000])
 def test_context_matches_rta_oracle(tick_ns):
-    """Probe/commit through both context flavors; every admission verdict
-    and every final response time must match ``core_schedulable``."""
+    """Probe/commit through the plain context and the oracle adapter;
+    every admission verdict and every final response time must match
+    ``core_schedulable``."""
     for trial in range(20):
         rng = random.Random(4200 + trial)
         taskset = TaskSetGenerator(
@@ -67,13 +84,14 @@ def test_context_matches_rta_oracle(tick_ns):
         ).generate(rng.uniform(0.5, 0.95))
         taskset = taskset.assign_rate_monotonic()
 
-        incremental = make_rta_context(incremental=True, tick_ns=tick_ns)
-        scratch = make_rta_context(incremental=False, tick_ns=tick_ns)
+        incremental = make_rta_context(tick_ns=tick_ns)
+        with oracle_contexts():
+            reference = make_rta_context(tick_ns=tick_ns)
         accepted = []
         for task in taskset:
             entry = _normal_entry(task)
             r_inc = incremental.probe(entry)
-            r_scr = scratch.probe(entry)
+            r_scr = reference.probe(entry)
             assert (r_inc is None) == (r_scr is None), (
                 f"trial {trial}: verdict diverged for {task.name}"
             )
@@ -81,7 +99,7 @@ def test_context_matches_rta_oracle(tick_ns):
                 continue
             assert r_inc == r_scr
             incremental.commit(entry)
-            scratch.install(entry)
+            reference.install(entry)
             accepted.append(entry)
 
         oracle = core_schedulable(accepted, tick_ns=tick_ns)
@@ -90,22 +108,22 @@ def test_context_matches_rta_oracle(tick_ns):
             assert response == oracle.response_of(entry.name), (
                 f"trial {trial}: response diverged for {entry.name}"
             )
-        for entry, response in scratch.responses():
+        for entry, response in reference.responses():
             assert response == oracle.response_of(entry.name)
 
 
 # ---------------------------------------------------------------------------
-# Partitioners: incremental == from-scratch, bit-identical, across a grid
+# Partitioners: incremental == oracle, bit-identical, across a grid
 # ---------------------------------------------------------------------------
 
 _GRID_ALGORITHMS = ("FP-TS", "PDMS", "C=D", "SPA2", "FFD", "WFD", "P-EDF")
 
 
 @pytest.mark.fuzz
-def test_partitioners_incremental_equals_scratch_on_grid():
+def test_partitioners_incremental_equals_oracle_on_grid():
     """>= 20 seeded task sets across the utilization grid: every
     partitioner must accept/reject identically and produce bit-identical
-    assignments in both analysis modes."""
+    assignments on the plain contexts and under ``oracle_contexts()``."""
     grid = [0.55 + 0.02 * i for i in range(22)]  # 0.55 .. 0.97 per core
     for i, normalized in enumerate(grid):
         n_cores = 2 if i % 2 == 0 else 4
@@ -122,12 +140,11 @@ def test_partitioners_incremental_equals_scratch_on_grid():
         ).generate(normalized * n_cores)
         taskset = taskset.assign_rate_monotonic()
         for algorithm in _GRID_ALGORITHMS:
-            fast = build_assignment(
-                algorithm, taskset, n_cores, model, incremental=True
-            )
-            reference = build_assignment(
-                algorithm, taskset, n_cores, model, incremental=False
-            )
+            fast = build_assignment(algorithm, taskset, n_cores, model)
+            with oracle_contexts():
+                reference = build_assignment(
+                    algorithm, taskset, n_cores, model
+                )
             assert assignment_to_canonical(fast) == assignment_to_canonical(
                 reference
             ), f"grid point {i} (U={normalized:.2f}): {algorithm} diverged"
@@ -148,10 +165,11 @@ def _spy_probe(ctx, seen):
     ctx.probe = probe
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_rta_probe_budget_probes_each_budget_once(incremental):
+@pytest.mark.parametrize("fast", [True, False])
+def test_rta_probe_budget_probes_each_budget_once(fast):
     stats = AnalysisStats()
-    ctx = make_rta_context(incremental=incremental, stats=stats)
+    with _scope(fast):
+        ctx = make_rta_context(stats=stats)
     resident = Task("r", wcet=5 * MS, period=10 * MS).with_priority(0)
     ctx.install(_normal_entry(resident))
 
@@ -183,10 +201,11 @@ def test_rta_probe_budget_probes_each_budget_once(incremental):
     assert stats.budget_searches == 1
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_edf_probe_budget_probes_each_budget_once(incremental):
+@pytest.mark.parametrize("fast", [True, False])
+def test_edf_probe_budget_probes_each_budget_once(fast):
     stats = AnalysisStats()
-    ctx = make_edf_context(incremental=incremental, stats=stats)
+    with _scope(fast):
+        ctx = make_edf_context(stats=stats)
     resident = Task("r", wcet=5 * MS, period=10 * MS).with_priority(0)
     ctx.install(_normal_entry(resident))
 
@@ -263,12 +282,13 @@ def _context_state(ctx):
     return state
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_fpts_failed_split_leaves_splitter_untouched(incremental):
+@pytest.mark.parametrize("fast", [True, False])
+def test_fpts_failed_split_leaves_splitter_untouched(fast):
     """Bodies are provisionally placed on both cores before the attempt
     runs out of cores; the failure must roll everything back —
     ``body_rank`` used to stay advanced (the state-leak bug)."""
-    splitter = _Splitter(2, FptsConfig(min_chunk=1), incremental=incremental)
+    with _scope(fast):
+        splitter = _Splitter(2, FptsConfig(min_chunk=1))
     # wcet 6 of 10: first-fit puts exactly one resident per core.
     assert splitter.try_whole(Task("a", wcet=6, period=10).with_priority(0))
     assert splitter.try_whole(Task("b", wcet=6, period=10).with_priority(1))
@@ -288,11 +308,10 @@ def test_fpts_failed_split_leaves_splitter_untouched(incremental):
         assert _context_state(ctx) == snap
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_cd_split_failed_split_leaves_splitter_untouched(incremental):
-    splitter = _CdSplitter(
-        2, CdSplitConfig(min_chunk=1), incremental=incremental
-    )
+@pytest.mark.parametrize("fast", [True, False])
+def test_cd_split_failed_split_leaves_splitter_untouched(fast):
+    with _scope(fast):
+        splitter = _CdSplitter(2, CdSplitConfig(min_chunk=1))
     assert splitter.try_whole(Task("a", wcet=6, period=10).with_priority(0))
     assert splitter.try_whole(Task("b", wcet=6, period=10).with_priority(1))
     before_rank = splitter.body_rank
@@ -333,7 +352,7 @@ def test_fpts_partition_unaffected_by_prior_failed_split():
 # ---------------------------------------------------------------------------
 
 
-def test_incremental_does_fewer_fixpoint_iterations():
+def test_incremental_does_fewer_fixpoint_iterations(monkeypatch):
     taskset = (
         TaskSetGenerator(
             n_tasks=12, seed=5, period_min=5 * MS, period_max=100 * MS
@@ -342,22 +361,55 @@ def test_incremental_does_fewer_fixpoint_iterations():
         .assign_rate_monotonic()
     )
     STATS.reset()
-    fast = build_assignment("FP-TS", taskset, 4, incremental=True)
+    fast = build_assignment("FP-TS", taskset, 4)
     inc = STATS.snapshot()
+    # The oracle's fixed points are rta.response_time, which walks its
+    # interferer sequence once per iteration: count those walks.
+    cold_iterations = 0
+
+    class CountingInterferers(list):
+        def __iter__(self):
+            nonlocal cold_iterations
+            cold_iterations += 1
+            return super().__iter__()
+
+    original = rta.response_time
+    monkeypatch.setattr(
+        rta,
+        "response_time",
+        lambda budget, higher, limit: original(
+            budget, CountingInterferers(higher), limit
+        ),
+    )
     STATS.reset()
-    reference = build_assignment("FP-TS", taskset, 4, incremental=False)
-    scr = STATS.snapshot()
+    with oracle_contexts():
+        reference = build_assignment("FP-TS", taskset, 4)
+    ref = STATS.snapshot()
     STATS.reset()
     assert assignment_to_canonical(fast) == assignment_to_canonical(reference)
-    assert inc["probes"] == scr["probes"]  # same algorithm, same questions
-    assert inc["fixpoint_iterations"] < scr["fixpoint_iterations"]
+    assert inc["probes"] == ref["probes"]  # same algorithm, same questions
+    assert inc["fixpoint_iterations"] < cold_iterations
+
+
+def test_oracle_contexts_scope_reverts():
+    """The seam only holds inside its ``with`` block, also on error."""
+    with oracle_contexts():
+        assert isinstance(make_rta_context(), OracleRtaContext)
+        assert isinstance(make_edf_context(), OracleEdfContext)
+    assert isinstance(make_rta_context(), CoreAnalysisContext)
+    assert isinstance(make_edf_context(), EdfCoreContext)
+    with pytest.raises(RuntimeError):
+        with oracle_contexts():
+            raise RuntimeError("boom")
+    assert isinstance(make_rta_context(), CoreAnalysisContext)
+    assert isinstance(make_edf_context(), EdfCoreContext)
 
 
 def test_record_analysis_stats_publishes_ana_counters():
     from repro.metrics import MetricsRegistry, record_analysis_stats
 
     stats = AnalysisStats()
-    ctx = make_rta_context(incremental=True, stats=stats)
+    ctx = make_rta_context(stats=stats)
     entry = _normal_entry(Task("a", wcet=3, period=10).with_priority(0))
     assert ctx.probe(entry) is not None
     ctx.commit(entry)

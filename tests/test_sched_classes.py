@@ -35,11 +35,11 @@ from repro.kernel import (
     FAIR_KEY_BASE,
     SCHED_CLASSES,
     KernelSim,
-    LegacyKernelSim,
     SchedulingClass,
     build_global_assignment,
     make_sched_class,
 )
+from repro.kernel.legacy import LegacyKernelSim
 from repro.model.assignment import Assignment, Entry, EntryKind
 from repro.model.resources import CriticalSection, ResourceModel
 from repro.model.task import Task

@@ -3,16 +3,20 @@ quantity must agree.  One dedicated test per pair."""
 
 from __future__ import annotations
 
+from repro.model.assignment import Assignment
 from repro.verify import (
     DIFFERENTIAL_PAIRS,
+    assignment_to_canonical,
     batch_vs_scratch,
     empty_plan_vs_no_plan,
     freq1_vs_unscaled,
+    incremental_vs_oracle,
     run_differential_suite,
     serial_vs_parallel,
     sim_vs_oracle,
     tick_vs_event,
 )
+from repro.verify.differential import _diff_canonical
 
 
 def test_sim_vs_oracle():
@@ -37,6 +41,24 @@ def test_tick_vs_event():
     """With periods quantized to the tick, tick-driven release scanning
     reproduces the event-driven schedule exactly."""
     assert tick_vs_event(seed=4) == []
+
+
+def test_incremental_vs_oracle():
+    """Every partitioner builds the bit-identical assignment on the
+    incremental contexts and on plain ``rta.py`` / ``edf.py``."""
+    assert incremental_vs_oracle(trials=10, seed=3) == []
+
+
+def test_diff_canonical_reports_accepted_vs_rejected():
+    """An accepted and a rejected canonical assignment have different
+    keys; the diff must report that, in either order, not raise."""
+    accepted = assignment_to_canonical(Assignment(2))
+    rejected = assignment_to_canonical(None)
+    for a, b in ((accepted, rejected), (rejected, accepted)):
+        diffs = _diff_canonical(a, b, "left", "right")
+        assert diffs
+        assert any(d.startswith("accepted:") for d in diffs)
+        assert any("n_cores: only in" in d for d in diffs)
 
 
 def test_batch_vs_scratch():
