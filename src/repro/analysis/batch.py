@@ -32,11 +32,16 @@ The packer (:func:`batch_partition_accept`) replays the decreasing-
 utilization bin-packing heuristics (first/next/best/worst-fit) over all
 lanes simultaneously; committed state per (lane, core) — membership
 masks, commit-order float utilization, cached responses for warm starts
-— lives in struct-of-arrays form.  Splitting decisions stay scalar: the
-batch layer answers the admit/reject and response-time queries that the
-plain partitioners ask, and anything it cannot express falls back to
-the scalar contexts lane by lane (see
-``repro.experiments.algorithms.accept_population``).
+— lives in struct-of-arrays form.  The batch layer answers the
+admit/reject and response-time queries that the plain partitioners ask,
+and anything it cannot express falls back to the scalar contexts lane
+by lane (see ``repro.experiments.algorithms.accept_populations``).
+
+FP-TS rides on the first-fit row: its whole-task phase is FFD, so every
+lane the batched FFD row accepts is an FP-TS accept, and only the
+FFD-rejected lanes reach the scalar splitter
+(``repro.experiments.algorithms.accept_populations``).  The splitting
+itself stays scalar.
 
 Work is counted in a :class:`BatchStats` (module-global
 :data:`BATCH_STATS` by default), published as the ``ana_batch_*``
@@ -94,7 +99,10 @@ class BatchStats:
     one iteration *per probe*); ``probes_rta`` / ``probes_edf``
     per-(lane, core) admission questions answered by the respective
     kernel; ``scalar_fallbacks`` lanes handed back to the scalar
-    contexts because the batch layer could not express them.
+    contexts because the batch layer could not express them.  FP-TS
+    lanes that the batched FFD row rejects go to the scalar splitter
+    by design (splitting is not batched); they are FP-TS's own work,
+    not a batch failure, and are not counted as ``scalar_fallbacks``.
     """
 
     __slots__ = (
@@ -220,11 +228,12 @@ class TaskSetPopulation:
             names=tuple(names),
         )
 
-    def tasksets(self) -> List[TaskSet]:
+    def tasksets(self, rows: Optional[Sequence[int]] = None) -> List[TaskSet]:
         """Materialize scalar :class:`TaskSet` objects (priority order,
-        priorities 0..n-1) — the lane-wise fallback path."""
+        priorities 0..n-1) — the lane-wise fallback path — for every
+        lane, or only for the lanes listed in ``rows``."""
         out = []
-        for row in range(self.n_sets):
+        for row in range(self.n_sets) if rows is None else rows:
             tasks = [
                 Task(
                     name=self.names[row][col],

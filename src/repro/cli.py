@@ -1341,8 +1341,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--skip-differential",
         action="store_true",
-        help="run only the random harness (skip the four differential "
-        "pairs)",
+        help="run only the random harness (skip the eleven "
+        "differential pairs)",
     )
     verify.set_defaults(fn=_cmd_verify)
 

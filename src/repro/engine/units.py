@@ -340,7 +340,10 @@ def execute_admission(unit: AdmissionUnit, mode: str = "scalar") -> dict:
     and a cache entry written by one mode answers queries served by the
     other.
     """
-    from repro.experiments.algorithms import accept, accept_populations
+    from repro.experiments.algorithms import (
+        accept_populations,
+        build_assignments,
+    )
 
     if mode not in ("batch", "scalar"):
         raise ValueError(f"unknown admission mode {mode!r}")
@@ -357,10 +360,12 @@ def execute_admission(unit: AdmissionUnit, mode: str = "scalar") -> dict:
                 name: bool(verdicts[name][0]) for name in unit.algorithms
             }
         }
+    built = build_assignments(
+        unit.algorithms, taskset, unit.n_cores, unit.overheads
+    )
     return {
         "verdicts": {
-            name: bool(accept(name, taskset, unit.n_cores, unit.overheads))
-            for name in unit.algorithms
+            name: built[name] is not None for name in unit.algorithms
         }
     }
 
@@ -446,7 +451,7 @@ def _execute_chaos(unit: ChaosUnit) -> dict:
 
 def _execute_acceptance(unit: AcceptanceUnit) -> dict:
     # Imported lazily: repro.experiments imports repro.engine back.
-    from repro.experiments.algorithms import accept
+    from repro.experiments.algorithms import build_assignments
 
     generator = TaskSetGenerator(
         n_tasks=unit.n_tasks,
@@ -476,20 +481,20 @@ def _execute_acceptance(unit: AcceptanceUnit) -> dict:
         }
         return {"accepted": accepted, "total": population.n_sets}
     tasksets = generator.generate_many(total, unit.sets_per_point)
-    accepted: Dict[str, int] = {}
-    for name in unit.algorithms:
-        accepted[name] = sum(
-            1
-            for ts in tasksets
-            if accept(name, ts, unit.n_cores, unit.overheads)
+    accepted = dict.fromkeys(unit.algorithms, 0)
+    for ts in tasksets:
+        built = build_assignments(
+            unit.algorithms, ts, unit.n_cores, unit.overheads
         )
+        for name in accepted:
+            accepted[name] += built[name] is not None
     return {"accepted": accepted, "total": len(tasksets)}
 
 
 def _execute_criteria(unit: CriteriaUnit) -> dict:
     import math
 
-    from repro.experiments.algorithms import ALGORITHMS, build_assignment
+    from repro.experiments.algorithms import ALGORITHMS, build_assignments
     from repro.kernel.global_sim import build_global_assignment
     from repro.kernel.sim import KernelSim
 
@@ -506,16 +511,46 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
     def _mean(values):
         return sum(values) / len(values)
 
-    criteria: Dict[str, Optional[dict]] = {}
-    accepted: Dict[str, int] = {}
-    for name in unit.algorithms:
-        spec = ALGORITHMS[name]
-        static_rows = []  # (spare_balance, packing_slack)
-        dynamic_rows = []  # (preempt/rel, migr/rel, power_mw, per_hp_uj)
-        for taskset in tasksets:
-            assignment = build_assignment(
-                name, taskset, unit.n_cores, unit.overheads
-            )
+    def _simulate(taskset, assignment, spec):
+        result = KernelSim(
+            build_global_assignment(taskset, unit.n_cores)
+            if spec.kind == "global"
+            else assignment,
+            unit.overheads,
+            duration=2 * max(task.period for task in taskset),
+            execution_times={task.name: task.wcet for task in taskset},
+            seed=unit.seed,
+            sched_class=spec.sched_class,
+        ).run()
+        releases = max(1, result.releases)
+        hyperperiod = math.lcm(*(t.period for t in taskset))
+        try:
+            per_hp_uj = float(result.energy.energy_per_ns(hyperperiod)) / 1e6
+        except OverflowError:
+            per_hp_uj = math.inf
+        return (
+            result.preemptions / releases,
+            result.migrations / releases,
+            float(result.energy.average_power_mw),
+            per_hp_uj,
+        )
+
+    # Per algorithm: (spare_balance, packing_slack) of every accepted
+    # set, and (preempt/rel, migr/rel, power_mw, per_hp_uj) of the first
+    # ``sim_sets`` of them.
+    names = list(dict.fromkeys(unit.algorithms))
+    static_rows = {name: [] for name in names}
+    dynamic_rows = {name: [] for name in names}
+    for taskset in tasksets:
+        built = build_assignments(
+            names, taskset, unit.n_cores, unit.overheads
+        )
+        # Algorithms handed the same assignment object (FFD read off
+        # FP-TS) share one simulation: same inputs, same result.
+        runs: Dict[Tuple[int, str], tuple] = {}
+        for name in names:
+            spec = ALGORITHMS[name]
+            assignment = built[name]
             if assignment is None:
                 continue
             if spec.kind == "global":
@@ -529,61 +564,40 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
                 ]
             spare = [max(0.0, 1.0 - u) for u in core_utils]
             mean_spare = _mean(spare)
-            static_rows.append(
+            static_rows[name].append(
                 (
                     min(spare) / mean_spare if mean_spare > 0 else 1.0,
                     1.0 - sum(core_utils) / unit.n_cores,
                 )
             )
-            if len(dynamic_rows) >= unit.sim_sets:
+            if len(dynamic_rows[name]) >= unit.sim_sets:
                 continue
-            result = KernelSim(
-                build_global_assignment(taskset, unit.n_cores)
-                if spec.kind == "global"
-                else assignment,
-                unit.overheads,
-                duration=2 * max(task.period for task in taskset),
-                execution_times={
-                    task.name: task.wcet for task in taskset
-                },
-                seed=unit.seed,
-                sched_class=spec.sched_class,
-            ).run()
-            releases = max(1, result.releases)
-            hyperperiod = math.lcm(*(t.period for t in taskset))
-            try:
-                per_hp_uj = (
-                    float(result.energy.energy_per_ns(hyperperiod)) / 1e6
-                )
-            except OverflowError:
-                per_hp_uj = math.inf
-            dynamic_rows.append(
-                (
-                    result.preemptions / releases,
-                    result.migrations / releases,
-                    float(result.energy.average_power_mw),
-                    per_hp_uj,
-                )
-            )
-        accepted[name] = len(static_rows)
-        if not static_rows:
+            key = (id(assignment), spec.sched_class)
+            if key not in runs:
+                runs[key] = _simulate(taskset, assignment, spec)
+            dynamic_rows[name].append(runs[key])
+
+    criteria: Dict[str, Optional[dict]] = {}
+    accepted: Dict[str, int] = {}
+    for name in names:
+        static, dynamic = static_rows[name], dynamic_rows[name]
+        accepted[name] = len(static)
+        if not static:
             criteria[name] = None
             continue
         entry = {
-            "spare_balance": _mean([r[0] for r in static_rows]),
-            "packing_slack": _mean([r[1] for r in static_rows]),
+            "spare_balance": _mean([r[0] for r in static]),
+            "packing_slack": _mean([r[1] for r in static]),
             "preemptions": None,
             "migrations": None,
             "avg_power_mw": None,
             "energy_per_hp_uj": None,
         }
-        if dynamic_rows:
-            entry["preemptions"] = _mean([r[0] for r in dynamic_rows])
-            entry["migrations"] = _mean([r[1] for r in dynamic_rows])
-            entry["avg_power_mw"] = _mean([r[2] for r in dynamic_rows])
-            entry["energy_per_hp_uj"] = _mean(
-                [r[3] for r in dynamic_rows]
-            )
+        if dynamic:
+            entry["preemptions"] = _mean([r[0] for r in dynamic])
+            entry["migrations"] = _mean([r[1] for r in dynamic])
+            entry["avg_power_mw"] = _mean([r[2] for r in dynamic])
+            entry["energy_per_hp_uj"] = _mean([r[3] for r in dynamic])
         criteria[name] = entry
     return {
         "accepted": accepted,

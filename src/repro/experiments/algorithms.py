@@ -11,19 +11,26 @@ the analysis:
   (:func:`repro.overhead.accounting.per_job_overhead`);
 * FP-TS additionally reserves the per-migration charge for every subtask
   boundary it creates (``FptsConfig.split_cost``).
+
+FP-TS places every task whole, first-fit, with the same exact-RTA probe
+FFD uses, and splits only once a task fits on no core.  Until FFD's
+first failure the two runs are therefore the same run, and FFD accepts
+a set exactly when FP-TS accepts it without splitting (with the
+identical assignment).  :func:`build_assignments` and
+:func:`accept_populations` use this to answer both algorithms from one
+first-fit pass whenever a caller asks for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.batch import (
     BATCH_STATS,
     BatchStats,
     PopulationError,
     TaskSetPopulation,
-    batch_partition_accept,
     batch_partition_accept_multi,
 )
 from repro.analysis.global_bounds import (
@@ -254,6 +261,34 @@ def build_assignment(
     return spec.fn(taskset, n_cores, model)
 
 
+def build_assignments(
+    algorithms: Sequence[str],
+    taskset: TaskSet,
+    n_cores: int,
+    model: OverheadModel = OverheadModel.zero(),
+) -> Dict[str, Optional[Assignment]]:
+    """Assignments of several algorithms on one task set (None = rejected).
+
+    When both FP-TS and FFD are asked, FP-TS runs once and FFD is read
+    off it: FFD's assignment is FP-TS's when that splits no task (the
+    same object), and ``None`` otherwise.  Every other algorithm runs
+    on its own.  Each returned assignment equals a separate
+    :func:`build_assignment` call.
+    """
+    out: Dict[str, Optional[Assignment]] = {}
+    if "FP-TS" in algorithms and "FFD" in algorithms:
+        fpts = build_assignment("FP-TS", taskset, n_cores, model)
+        out["FP-TS"] = fpts
+        unsplit = fpts is not None and fpts.n_split_tasks == 0
+        out["FFD"] = fpts if unsplit else None
+    for algorithm in algorithms:
+        if algorithm not in out:
+            out[algorithm] = build_assignment(
+                algorithm, taskset, n_cores, model
+            )
+    return out
+
+
 def accept(
     algorithm: str,
     taskset: TaskSet,
@@ -265,8 +300,10 @@ def accept(
 
 
 #: Algorithms the batch layer can express: plain decreasing-utilization
-#: bin packing, mapped to (placement, admission).  Splitting algorithms
-#: (FP-TS, SPA*, PDMS, C=D) and the global tests stay scalar.
+#: bin packing, mapped to (placement, admission).  FP-TS shares FFD's row
+#: when both are asked (see :func:`accept_populations`); the other
+#: splitting algorithms (SPA*, PDMS, C=D) and the global tests stay
+#: scalar.
 BATCH_ALGORITHMS: Dict[str, Tuple[str, str]] = {
     "FFD": ("first-fit", "rta"),
     "WFD": ("worst-fit", "rta"),
@@ -286,43 +323,22 @@ def accept_population(
 ) -> List[bool]:
     """Accept/reject vector of ``algorithm`` over a whole population.
 
-    With ``batch=True`` the algorithms in :data:`BATCH_ALGORITHMS` run
-    through the struct-of-arrays kernels of
-    :mod:`repro.analysis.batch`; everything else — and any population
-    the batch layer cannot express (non-rate-monotonic priority order)
-    — falls back to the scalar incremental path one lane at a time.
-    Verdicts are bit-identical either way (the batch-vs-scratch
-    differential pair enforces this continuously).
+    One-algorithm form of :func:`accept_populations`: the algorithms in
+    :data:`BATCH_ALGORITHMS` run through the struct-of-arrays kernels of
+    :mod:`repro.analysis.batch`; everything else (FP-TS included, since
+    FFD is not asked here), ``batch=False``, and any population the
+    batch layer cannot express (non-rate-monotonic priority order) take
+    the scalar incremental path one lane at a time.  Verdicts are
+    bit-identical either way (the batch-vs-scratch differential pair
+    enforces this continuously).
     """
-    if algorithm not in ALGORITHMS:
-        raise KeyError(
-            f"unknown algorithm {algorithm!r}; choose from "
-            f"{sorted(ALGORITHMS)}"
-        )
-    plan = BATCH_ALGORITHMS.get(algorithm) if batch else None
-    if plan is not None:
-        placement, admission = plan
-        try:
-            verdicts = batch_partition_accept(
-                population,
-                n_cores,
-                model=model,
-                placement=placement,
-                admission=admission,
-                stats=stats,
-            )
-            return [bool(v) for v in verdicts]
-        except PopulationError:
-            tracker = stats if stats is not None else BATCH_STATS
-            tracker.scalar_fallbacks += population.n_sets
-    return [
-        accept(algorithm, taskset, n_cores, model=model)
-        for taskset in population.tasksets()
-    ]
+    return accept_populations(
+        [algorithm], population, n_cores, model, batch=batch, stats=stats
+    )[algorithm]
 
 
 def accept_populations(
-    algorithms: List[str],
+    algorithms: Sequence[str],
     population: TaskSetPopulation,
     n_cores: int,
     model: OverheadModel = OverheadModel.zero(),
@@ -336,9 +352,18 @@ def accept_populations(
     :func:`repro.analysis.batch.batch_partition_accept_multi` — the
     per-step vectorized probes cover every algorithm's rows at once, so
     asking five heuristics costs far less than five separate sweeps.
+
+    FP-TS is FFD until FFD's first failure, so when FFD's row came from
+    the batch pass, every lane FFD accepts is an FP-TS accept and only
+    the FFD-rejected lanes run the scalar splitter.  Those lanes are
+    FP-TS's own work, not a batch failure: they are not counted as
+    ``scalar_fallbacks``.
+
     Non-batchable algorithms, ``batch=False``, and populations the
-    batch layer rejects take the same scalar per-lane fallback as
-    :func:`accept_population`.
+    batch layer rejects (each of those lanes counted once per batchable
+    algorithm in ``scalar_fallbacks``) run lane by lane through
+    :func:`build_assignments`, which still answers FP-TS and FFD from
+    one FP-TS run.
     """
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
@@ -346,8 +371,9 @@ def accept_populations(
                 f"unknown algorithm {algorithm!r}; choose from "
                 f"{sorted(ALGORITHMS)}"
             )
+    wanted = list(dict.fromkeys(algorithms))
     out: Dict[str, List[bool]] = {}
-    batched = [a for a in algorithms if batch and a in BATCH_ALGORITHMS]
+    batched = [a for a in wanted if batch and a in BATCH_ALGORITHMS]
     if batched:
         try:
             matrix = batch_partition_accept_multi(
@@ -362,15 +388,23 @@ def accept_populations(
         except PopulationError:
             tracker = stats if stats is not None else BATCH_STATS
             tracker.scalar_fallbacks += population.n_sets * len(batched)
-            batched = []
-    for algorithm in algorithms:
-        if algorithm not in out:
-            out[algorithm] = accept_population(
-                algorithm,
-                population,
-                n_cores,
-                model=model,
-                batch=False,
-                stats=stats,
+    rest = [a for a in wanted if a not in out]
+    if "FP-TS" in rest and "FFD" in out:
+        rest.remove("FP-TS")
+        ffd = out["FFD"]
+        rejected = [lane for lane, ok in enumerate(ffd) if not ok]
+        fpts = list(ffd)
+        for lane, taskset in zip(rejected, population.tasksets(rejected)):
+            fpts[lane] = (
+                build_assignment("FP-TS", taskset, n_cores, model)
+                is not None
             )
-    return out
+        out["FP-TS"] = fpts
+    if rest:
+        for algorithm in rest:
+            out[algorithm] = []
+        for taskset in population.tasksets():
+            built = build_assignments(rest, taskset, n_cores, model)
+            for algorithm in rest:
+                out[algorithm].append(built[algorithm] is not None)
+    return {algorithm: out[algorithm] for algorithm in algorithms}

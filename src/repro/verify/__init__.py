@@ -8,8 +8,8 @@ Entry points:
   invariant checker;
 * :func:`~repro.verify.harness.run_harness` — seeded random trials plus
   metamorphic mutations;
-* :func:`~repro.verify.differential.run_differential_suite` — the ten
-  independent-implementation agreement checks;
+* :func:`~repro.verify.differential.run_differential_suite` — the
+  eleven independent-implementation agreement checks;
 * :func:`~repro.verify.shrink.shrink_scenario` /
   :func:`~repro.verify.shrink.write_repro` — minimize a failing scenario
   and persist it for ``repro verify --replay``.
@@ -28,6 +28,7 @@ from repro.verify.differential import (
     result_to_canonical,
     run_differential_suite,
     serial_vs_parallel,
+    shared_vs_separate,
     sim_vs_oracle,
     tick_vs_event,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "run_scenario",
     "run_trial",
     "serial_vs_parallel",
+    "shared_vs_separate",
     "shrink_scenario",
     "sim_vs_oracle",
     "tick_vs_event",

@@ -1,6 +1,6 @@
 """Differential cross-checks: independent implementations must agree.
 
-Ten pairs, each exercising a different redundancy in the codebase:
+Eleven pairs, each exercising a different redundancy in the codebase:
 
 * **sim-vs-oracle** — a zero-overhead :class:`KernelSim` run on one core
   must agree with the analytical time-demand oracle
@@ -27,7 +27,16 @@ Ten pairs, each exercising a different redundancy in the codebase:
   vectors to the scalar partitioners run under ``oracle_contexts()`` on
   whole populations, and
   the batched RTA fixed point must return the identical integer response
-  times as the scalar analyzer on every accepted core;
+  times as the scalar analyzer on every accepted core; FP-TS, whose
+  batched verdicts ride on the FFD row, is compared too;
+* **shared-vs-separate** — the shared first-fit pass
+  (:func:`~repro.experiments.algorithms.build_assignments`, and FP-TS
+  read off the batched FFD row in
+  :func:`~repro.experiments.algorithms.accept_populations`) must return,
+  for every requested algorithm, the bit-identical assignment and
+  verdict of a separate :func:`~repro.experiments.algorithms.
+  build_assignment` call, in either algorithm order and next to a
+  non-participating heuristic;
 * **legacy-vs-plugin** — :class:`~repro.kernel.legacy.LegacyKernelSim`
   (a frozen snapshot of the monolithic pre-plugin simulator) must
   produce bit-identical full-granularity results — every counter,
@@ -51,7 +60,7 @@ Ten pairs, each exercising a different redundancy in the codebase:
   energy ledger, and balance that ledger on both sides.
 
 Every check returns a list of human-readable discrepancy strings; empty
-means the pair agrees.  :func:`run_differential_suite` runs all ten.
+means the pair agrees.  :func:`run_differential_suite` runs all eleven.
 """
 
 from __future__ import annotations
@@ -394,8 +403,11 @@ def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
     zero and paper-calibrated overhead models), packs it into aligned
     arrays, and asserts two bit-level identities:
 
-    * the batch accept/reject vector of every batchable algorithm equals
-      the per-set verdicts of the scalar partitioners run under
+    * the batch accept/reject vector of every batchable algorithm, and
+      of FP-TS asked next to FFD and WFD (FP-TS's verdicts then come
+      from the batched FFD row plus the scalar splitter on the lanes
+      FFD rejects), equals the per-set verdicts of the scalar
+      partitioners run under
       :func:`~repro.analysis.incremental.oracle_contexts` (every probe
       answered cold by :mod:`repro.analysis.rta` / :mod:`repro.analysis.edf`
       — the most independent reference);
@@ -413,6 +425,7 @@ def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
     from repro.analysis.rta import core_schedulable, order_entries
     from repro.experiments.algorithms import (
         accept_population,
+        accept_populations,
         build_assignment,
     )
 
@@ -435,11 +448,17 @@ def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
         )
         tasksets = generator.generate_many(utilization, 8)
         population = TaskSetPopulation.from_tasksets(tasksets)
+        shared = accept_populations(
+            ["FP-TS", "FFD", "WFD"], population, n_cores, model=model
+        )
         assignments = []
-        for algorithm in _BATCH_ALGORITHMS:
-            batch_verdicts = accept_population(
-                algorithm, population, n_cores, model=model
-            )
+        for algorithm in _BATCH_ALGORITHMS + ("FP-TS",):
+            if algorithm in shared:
+                batch_verdicts = shared[algorithm]
+            else:
+                batch_verdicts = accept_population(
+                    algorithm, population, n_cores, model=model
+                )
             with oracle_contexts():
                 scalar = [
                     build_assignment(algorithm, ts, n_cores, model)
@@ -489,6 +508,92 @@ def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
                     f"trial {trial} core row {row}: batched responses "
                     f"{batch_responses} != scalar {scalar_responses}"
                 )
+    return diffs
+
+
+#: Algorithm lists the shared first-fit pass must answer like separate
+#: runs: both FP-TS/FFD orders, each next to a non-participating WFD.
+_SHARED_ORDERS = (("FP-TS", "FFD", "WFD"), ("WFD", "FFD", "FP-TS"))
+
+
+def shared_vs_separate(trials: int = 20, seed: int = 0) -> List[str]:
+    """One first-fit pass for FFD and FP-TS vs. one run per algorithm.
+
+    Each trial draws a seeded population at the acceptance cliff (U/m in
+    0.6–0.975, where FFD starts to fail and FP-TS starts to split),
+    alternating zero and paper-calibrated overhead models, and asserts:
+
+    * :func:`~repro.experiments.algorithms.build_assignments` returns,
+      for every requested algorithm and in both algorithm orders, the
+      bit-identical canonical assignment of a separate
+      :func:`~repro.experiments.algorithms.build_assignment` call;
+    * :func:`~repro.experiments.algorithms.accept_populations` returns
+      the same verdicts as those separate calls (FP-TS there is read off
+      the batched FFD row on every lane FFD accepts).
+    """
+    from repro.analysis.batch import TaskSetPopulation
+    from repro.experiments.algorithms import (
+        accept_populations,
+        build_assignment,
+        build_assignments,
+    )
+
+    diffs: List[str] = []
+    rng = random.Random(seed)
+    for trial in range(trials):
+        n_cores = rng.choice((2, 4))
+        n_tasks = rng.randint(6, 12)
+        utilization = rng.uniform(0.6, 0.975) * n_cores
+        model = (
+            OverheadModel.zero()
+            if trial % 2 == 0
+            else OverheadModel.paper_core_i7(n_cores)
+        )
+        generator = TaskSetGenerator(
+            n_tasks=n_tasks,
+            seed=rng.randint(0, 10**6),
+            period_min=5 * MS,
+            period_max=100 * MS,
+        )
+        tasksets = generator.generate_many(utilization, 8)
+        population = TaskSetPopulation.from_tasksets(tasksets)
+        separate = {
+            algorithm: [
+                assignment_to_canonical(
+                    build_assignment(algorithm, ts, n_cores, model)
+                )
+                for ts in tasksets
+            ]
+            for algorithm in _SHARED_ORDERS[0]
+        }
+        for order in _SHARED_ORDERS:
+            where = (
+                f"trial {trial} (m={n_cores}, U={utilization:.3f}, "
+                f"order {','.join(order)})"
+            )
+            for index, taskset in enumerate(tasksets):
+                shared = build_assignments(order, taskset, n_cores, model)
+                for algorithm in order:
+                    got = assignment_to_canonical(shared[algorithm])
+                    want = separate[algorithm][index]
+                    if got != want:
+                        detail = _diff_canonical(
+                            got, want, "shared", "separate"
+                        )
+                        diffs.append(
+                            f"{where} set {index} {algorithm}: "
+                            "assignments differ: " + "; ".join(detail[:3])
+                        )
+            verdicts = accept_populations(
+                list(order), population, n_cores, model=model
+            )
+            for algorithm in order:
+                want = [c["accepted"] for c in separate[algorithm]]
+                if verdicts[algorithm] != want:
+                    diffs.append(
+                        f"{where} {algorithm}: batch verdicts "
+                        f"{verdicts[algorithm]} != separate {want}"
+                    )
     return diffs
 
 
@@ -900,6 +1005,7 @@ DIFFERENTIAL_PAIRS = (
     "tick-vs-event",
     "incremental-vs-oracle",
     "batch-vs-scratch",
+    "shared-vs-separate",
     "legacy-vs-plugin",
     "cross-class-sanity",
     "replay-vs-synthetic",
@@ -910,7 +1016,7 @@ DIFFERENTIAL_PAIRS = (
 def run_differential_suite(
     seed: int = 0, trials: int = 20, jobs: int = 2
 ) -> Dict[str, List[str]]:
-    """Run all ten pairs; maps pair name to its discrepancy list."""
+    """Run all eleven pairs; maps pair name to its discrepancy list."""
     return {
         "sim-vs-oracle": sim_vs_oracle(trials=trials, seed=seed),
         "serial-vs-parallel": serial_vs_parallel(seed=seed, jobs=jobs),
@@ -920,6 +1026,7 @@ def run_differential_suite(
             trials=trials, seed=seed
         ),
         "batch-vs-scratch": batch_vs_scratch(trials=trials, seed=seed),
+        "shared-vs-separate": shared_vs_separate(trials=trials, seed=seed),
         "legacy-vs-plugin": legacy_vs_plugin(trials=trials, seed=seed),
         "cross-class-sanity": cross_class_sanity(
             trials=max(1, trials // 2), seed=seed

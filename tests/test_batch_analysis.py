@@ -349,6 +349,100 @@ def test_accept_populations_mixes_batch_and_scalar_algorithms():
         accept_population("no-such-alg", population, N_CORES)
 
 
+# ---------------------------------------------------------------------------
+# FP-TS read off the batched FFD row
+# ---------------------------------------------------------------------------
+
+SHARED = ["FP-TS", "FFD", "WFD"]
+
+
+def _scalar_verdicts(algorithms, tasksets, model):
+    return {
+        algorithm: [accept(algorithm, ts, N_CORES, model) for ts in tasksets]
+        for algorithm in algorithms
+    }
+
+
+def test_fpts_on_ffd_row_matches_scalar_without_fallbacks():
+    """At the acceptance cliff FFD rejects lanes that FP-TS accepts by
+    splitting (and some that both reject); the shared verdicts still
+    equal scalar ``accept``, and the FFD-rejected lanes handed to the
+    splitter are not counted as batch fallbacks."""
+    population, tasksets = _population(41, 0.95, count=8)
+    model = MODELS[1]
+    expected = _scalar_verdicts(SHARED, tasksets, model)
+    pairs = set(zip(expected["FFD"], expected["FP-TS"]))
+    assert pairs == {(True, True), (False, True), (False, False)}
+    stats = BatchStats()
+    verdicts = accept_populations(
+        SHARED, population, N_CORES, model, stats=stats
+    )
+    assert verdicts == expected
+    assert stats.scalar_fallbacks == 0
+    assert stats.lanes == 2 * population.n_sets  # the FFD and WFD rows
+
+
+def test_fpts_alone_adds_no_ffd_row():
+    population, tasksets = _population(41, 0.95, count=4)
+    stats = BatchStats()
+    verdicts = accept_populations(
+        ["FP-TS"], population, N_CORES, MODELS[0], stats=stats
+    )
+    assert verdicts == _scalar_verdicts(["FP-TS"], tasksets, MODELS[0])
+    assert stats.lanes == 0
+    assert stats.scalar_fallbacks == 0
+
+
+def test_fpts_on_non_rm_population_matches_scalar():
+    population, tasksets = _non_rm_population()
+    stats = BatchStats()
+    verdicts = accept_populations(
+        SHARED, population, N_CORES, MODELS[0], stats=stats
+    )
+    assert verdicts == _scalar_verdicts(SHARED, tasksets, MODELS[0])
+    # Only the two batchable rows fell back; FP-TS never was a batch row.
+    assert stats.scalar_fallbacks == 2 * population.n_sets
+
+
+@pytest.mark.parametrize("lane", range(8))
+def test_single_lane_shared_pass_matches_scalar(lane):
+    """One-lane populations (the service's batch rung) over every
+    FFD/FP-TS outcome of the cliff population above."""
+    _, tasksets = _population(41, 0.95, count=8)
+    population = TaskSetPopulation.from_tasksets([tasksets[lane]])
+    verdicts = accept_populations(SHARED, population, N_CORES, MODELS[1])
+    assert verdicts == _scalar_verdicts(
+        SHARED, [tasksets[lane]], MODELS[1]
+    )
+
+
+def test_build_assignments_reads_ffd_off_fpts():
+    """FFD's assignment is FP-TS's own object when FP-TS splits nothing,
+    and None when it splits; either way it equals a separate FFD run."""
+    from repro.experiments.algorithms import (
+        build_assignment,
+        build_assignments,
+    )
+    from repro.verify import assignment_to_canonical
+
+    _, tasksets = _population(41, 0.95, count=8)
+    seen = set()
+    for taskset in tasksets:
+        built = build_assignments(SHARED, taskset, N_CORES, MODELS[1])
+        assert list(built) == ["FP-TS", "FFD", "WFD"]
+        fpts, ffd = built["FP-TS"], built["FFD"]
+        if ffd is not None:
+            assert ffd is fpts and fpts.n_split_tasks == 0
+        seen.add((fpts is not None, ffd is not None))
+        for algorithm in SHARED:
+            assert assignment_to_canonical(
+                built[algorithm]
+            ) == assignment_to_canonical(
+                build_assignment(algorithm, taskset, N_CORES, MODELS[1])
+            )
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
 def test_population_roundtrip_tasksets():
     population, tasksets = _population(3, 0.65, count=3)
     for materialized, original in zip(population.tasksets(), tasksets):
@@ -359,3 +453,9 @@ def test_population_roundtrip_tasksets():
             (t.name, t.wcet, t.period, t.deadline, t.wss, t.priority)
             for t in original.sorted_by_priority()
         ]
+    # A row subset materializes just those lanes, in the order asked.
+    subset = population.tasksets([2, 0])
+    assert [ts.by_name("t000").wcet for ts in subset] == [
+        tasksets[2].by_name("t000").wcet,
+        tasksets[0].by_name("t000").wcet,
+    ]

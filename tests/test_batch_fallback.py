@@ -30,6 +30,7 @@ from repro.analysis.batch import (
 )
 from repro.experiments.algorithms import (
     BATCH_ALGORITHMS,
+    accept,
     accept_population,
     accept_populations,
 )
@@ -61,10 +62,8 @@ def _raise_population_error(*args, **kwargs):
 
 @pytest.fixture
 def broken_batch(monkeypatch):
-    """Make every batch kernel call fail (as imported by the registry)."""
-    monkeypatch.setattr(
-        algorithms_mod, "batch_partition_accept", _raise_population_error
-    )
+    """Make every batch kernel call fail (the registry imports only the
+    multi-config kernel; ``accept_population`` goes through it too)."""
     monkeypatch.setattr(
         algorithms_mod,
         "batch_partition_accept_multi",
@@ -156,6 +155,29 @@ class TestInjectedFallbackMulti:
             registry.value("ana_batch_scalar_fallbacks_total")
             == population.n_sets * len(algorithms)
         )
+
+
+class TestInjectedFallbackFpts:
+    def test_fpts_verdicts_bit_identical_to_scalar(self, broken_batch):
+        """With the FFD row unavailable, FP-TS and FFD share one scalar
+        FP-TS run per lane; the verdicts still equal separate scalar
+        runs, and only the batchable rows count as fallbacks."""
+        population = _population(seed=29)
+        model = OverheadModel.paper_core_i7(3)
+        algorithms = ["FP-TS", "FFD", "WFD"]
+        stats = BatchStats()
+        fell_back = accept_populations(
+            algorithms, population, N_CORES, model=model, stats=stats
+        )
+        assert fell_back == {
+            algorithm: [
+                accept(algorithm, taskset, N_CORES, model)
+                for taskset in population.tasksets()
+            ]
+            for algorithm in algorithms
+        }
+        assert stats.scalar_fallbacks == population.n_sets * 2
+        assert stats.lanes == 0
 
 
 class TestNoInjection:

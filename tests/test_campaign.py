@@ -268,3 +268,114 @@ class TestFailedUnits:
         assert partial.mean_acceptance(algorithm="FFD") == pytest.approx(
             sum(surviving) / len(surviving)
         )
+
+
+def _separate_criteria(unit):
+    """A criteria payload with every algorithm built and simulated on its
+    own: each algorithm's first ``sim_sets`` accepted sets, one
+    ``KernelSim`` run each, no runs shared between algorithms."""
+    from repro.experiments.algorithms import ALGORITHMS, build_assignment
+    from repro.kernel.sim import KernelSim
+    from repro.model.generator import TaskSetGenerator
+
+    tasksets = TaskSetGenerator(
+        n_tasks=unit.n_tasks,
+        seed=unit.seed,
+        period_min=unit.period_min,
+        period_max=unit.period_max,
+    ).generate_many(unit.utilization * unit.n_cores, unit.sets_per_point)
+
+    def mean(rows, column):
+        return sum(row[column] for row in rows) / len(rows)
+
+    accepted, criteria = {}, {}
+    for name in unit.algorithms:
+        static, dynamic = [], []
+        for taskset in tasksets:
+            assignment = build_assignment(
+                name, taskset, unit.n_cores, unit.overheads
+            )
+            if assignment is None:
+                continue
+            utils = [core.utilization for core in assignment.cores]
+            spare = [max(0.0, 1.0 - u) for u in utils]
+            mean_spare = sum(spare) / len(spare)
+            static.append((
+                min(spare) / mean_spare if mean_spare > 0 else 1.0,
+                1.0 - sum(utils) / unit.n_cores,
+            ))
+            if len(dynamic) >= unit.sim_sets:
+                continue
+            result = KernelSim(
+                assignment,
+                unit.overheads,
+                duration=2 * max(task.period for task in taskset),
+                execution_times={task.name: task.wcet for task in taskset},
+                seed=unit.seed,
+                sched_class=ALGORITHMS[name].sched_class,
+            ).run()
+            releases = max(1, result.releases)
+            hyperperiod = math.lcm(*(task.period for task in taskset))
+            try:
+                per_hp = float(result.energy.energy_per_ns(hyperperiod)) / 1e6
+            except OverflowError:
+                per_hp = math.inf
+            dynamic.append((
+                result.preemptions / releases,
+                result.migrations / releases,
+                float(result.energy.average_power_mw),
+                per_hp,
+            ))
+        accepted[name] = len(static)
+        if not static:
+            criteria[name] = None
+            continue
+        criteria[name] = {
+            "spare_balance": mean(static, 0),
+            "packing_slack": mean(static, 1),
+            "preemptions": mean(dynamic, 0) if dynamic else None,
+            "migrations": mean(dynamic, 1) if dynamic else None,
+            "avg_power_mw": mean(dynamic, 2) if dynamic else None,
+            "energy_per_hp_uj": mean(dynamic, 3) if dynamic else None,
+        }
+    return {
+        "accepted": accepted,
+        "total": len(tasksets),
+        "criteria": criteria,
+    }
+
+
+class TestCriteriaSharedSimulation:
+    """FFD's assignment is FP-TS's own whenever FP-TS splits nothing, so
+    the criteria unit simulates it once for both algorithms."""
+
+    def test_payload_equals_separate_runs_with_fewer_simulations(
+        self, monkeypatch
+    ):
+        from repro.engine.units import CriteriaUnit, execute_unit
+        from repro.kernel.sim import KernelSim
+
+        unit = CriteriaUnit(
+            n_cores=2,
+            n_tasks=6,
+            sets_per_point=6,
+            utilization=0.8,
+            seed=11,
+            algorithms=("FP-TS", "FFD", "WFD"),
+            overheads=OverheadModel.paper_core_i7(3),
+            sim_sets=3,
+        )
+        runs = [0]
+        original = KernelSim.run
+
+        def counted(self):
+            runs[0] += 1
+            return original(self)
+
+        monkeypatch.setattr(KernelSim, "run", counted)
+        payload = execute_unit(unit)
+        shared_runs, runs[0] = runs[0], 0
+        reference = _separate_criteria(unit)
+        assert payload == reference
+        assert payload["accepted"]["FFD"] > 0
+        assert shared_runs < runs[0]

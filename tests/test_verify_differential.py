@@ -13,6 +13,7 @@ from repro.verify import (
     incremental_vs_oracle,
     run_differential_suite,
     serial_vs_parallel,
+    shared_vs_separate,
     sim_vs_oracle,
     tick_vs_event,
 )
@@ -62,10 +63,16 @@ def test_diff_canonical_reports_accepted_vs_rejected():
 
 
 def test_batch_vs_scratch():
-    """The struct-of-arrays batch kernels return bit-identical
-    accept/reject vectors and per-entry response times to the scalar
-    pipeline."""
+    """The struct-of-arrays batch kernels (and FP-TS read off their FFD
+    row) return bit-identical accept/reject vectors and per-entry
+    response times to the scalar pipeline."""
     assert batch_vs_scratch(trials=8, seed=9) == []
+
+
+def test_shared_vs_separate():
+    """One first-fit pass for FFD and FP-TS returns the assignments and
+    verdicts of separate runs, in both algorithm orders."""
+    assert shared_vs_separate(trials=10, seed=3) == []
 
 
 def test_freq1_vs_unscaled():
@@ -77,5 +84,6 @@ def test_freq1_vs_unscaled():
 
 def test_suite_covers_all_pairs():
     report = run_differential_suite(seed=1, trials=5, jobs=2)
+    assert len(DIFFERENTIAL_PAIRS) == 11
     assert set(report) == set(DIFFERENTIAL_PAIRS)
     assert all(diffs == [] for diffs in report.values())
