@@ -21,7 +21,6 @@ from repro.analysis.batch import (
     BatchStats,
     PopulationError,
     TaskSetPopulation,
-    batch_partition_accept,
     batch_partition_accept_multi,
     batch_rta_responses,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "BatchStats",
     "PopulationError",
     "TaskSetPopulation",
-    "batch_partition_accept",
     "batch_partition_accept_multi",
     "batch_rta_responses",
     "STATS",

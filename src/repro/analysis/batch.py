@@ -28,7 +28,7 @@ a time; this module packs a whole population into aligned numpy arrays
   where the exact test is *guaranteed* to agree, so the accept/reject
   vector still matches the scalar engines bit for bit.
 
-The packer (:func:`batch_partition_accept`) replays the decreasing-
+The packer (:func:`batch_partition_accept_multi`) replays the decreasing-
 utilization bin-packing heuristics (first/next/best/worst-fit) over all
 lanes simultaneously; committed state per (lane, core) — membership
 masks, commit-order float utilization, cached responses for warm starts
@@ -749,6 +749,11 @@ def batch_partition_accept_multi(
     config, one column per lane — of the decreasing-utilization bin-
     packing heuristics over every lane of ``population`` at once.
 
+    ``placement`` is one of :data:`PLACEMENTS`; ``admission`` is
+    ``"rta"`` (exact per-core response-time analysis, the FFD/WFD/BFD/
+    NFD semantics) or ``"edf"`` (exact processor-demand admission, the
+    P-EDF semantics).
+
     All configs advance through the packing steps together: the
     (config, lane) pairs are flattened into one row axis, so every
     step issues a *single* batched RTA fixed-point call covering every
@@ -1236,29 +1241,3 @@ def batch_partition_accept_multi(
     stats.lanes_fastpath += int((~used_vector).sum())
     return verdict
 
-
-def batch_partition_accept(
-    population: TaskSetPopulation,
-    n_cores: int,
-    model: OverheadModel = OverheadModel.zero(),
-    placement: str = "first-fit",
-    admission: str = "rta",
-    stats: Optional[BatchStats] = None,
-) -> np.ndarray:
-    """Accept/reject vector of the decreasing-utilization bin-packing
-    heuristic over every lane of ``population`` at once.
-
-    ``placement`` is one of :data:`PLACEMENTS`; ``admission`` is
-    ``"rta"`` (exact per-core response-time analysis, the FFD/WFD/BFD/
-    NFD semantics) or ``"edf"`` (exact processor-demand admission, the
-    P-EDF semantics).  One-config convenience wrapper around
-    :func:`batch_partition_accept_multi` (which answers several
-    algorithms over the same population in one packing pass).
-    """
-    return batch_partition_accept_multi(
-        population,
-        n_cores,
-        model=model,
-        configs=[(placement, admission)],
-        stats=stats,
-    )[0]

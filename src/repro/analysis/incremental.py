@@ -44,8 +44,8 @@ The partitioners build their contexts through :func:`make_rta_context` /
 factories return the adapters of :mod:`repro.analysis.oracle` instead,
 which answer every probe from scratch through the untouched
 :mod:`repro.analysis.rta` / :mod:`repro.analysis.edf`; the differential
-suite, the tests and the partition benchmark run whole partitioners
-under that scope to get their reference result.
+suite and the tests run whole partitioners under that scope to get
+their reference result.
 
 Every context counts its work in an :class:`AnalysisStats` (default: the
 module-global :data:`STATS`), whose counters publish to a
@@ -599,7 +599,7 @@ def oracle_contexts() -> Iterator[None]:
     build the oracle adapters, which answer every probe through plain
     :mod:`repro.analysis.rta` / :mod:`repro.analysis.edf`.  Run a whole
     partitioner inside it to get the reference result the differential
-    checks, tests and benchmarks compare the contexts against."""
+    checks and tests compare the contexts against."""
     token = _USE_ORACLE.set(True)
     try:
         yield

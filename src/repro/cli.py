@@ -391,7 +391,6 @@ def _cmd_sweep(args) -> int:
         overheads=model,
         algorithms=algorithms,
         seed=args.seed,
-        batch=args.batch,
     )
     engine = _engine_for(args)
     result = run_acceptance(config, engine=engine)
@@ -1038,8 +1037,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--batch",
         action="store_true",
-        help="vectorized batch analysis per sweep point (bit-identical "
-        "ratios; scalar fallback where inexpressible)",
+        help="no effect: sweep points are always analyzed as one "
+        "population",
     )
     sweep.add_argument(
         "--workload",

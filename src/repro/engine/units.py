@@ -32,7 +32,8 @@ from repro.workload.profile import WorkloadProfile
 #: v2: AcceptanceUnit grew the ``batch`` field (vectorized analysis).
 #: v3: new WorkloadUnit kind (trace-driven scenario synthesis).
 #: v4: new CriteriaUnit kind (multi-criteria campaign axes).
-CACHE_SCHEMA_VERSION = 4
+#: v5: AcceptanceUnit lost the ``batch`` field (one acceptance path).
+CACHE_SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,12 @@ class AcceptanceUnit:
     utilization ``utilization * n_cores`` from ``seed`` and counts, per
     algorithm, how many pass the overhead-aware acceptance test.
 
-    With ``batch=True`` the point's population is generated as one
-    struct-of-arrays batch and analyzed by the vectorized kernels of
-    :mod:`repro.analysis.batch` (scalar fallback for algorithms or
-    populations the batch layer cannot express).  The payload is
-    bit-identical either way; the flag only selects the engine.
+    The point's population is generated as one struct-of-arrays batch
+    and analyzed by
+    :func:`~repro.experiments.algorithms.accept_populations`, which
+    picks the engine per algorithm from the input: vectorized kernels
+    where the batch layer can express it, lane-by-lane scalar analysis
+    everywhere else.
     """
 
     n_cores: int
@@ -59,7 +61,6 @@ class AcceptanceUnit:
     overheads: OverheadModel
     period_min: int = 10 * MS
     period_max: int = 1000 * MS
-    batch: bool = False
     kind: str = "acceptance"
 
 
@@ -451,7 +452,8 @@ def _execute_chaos(unit: ChaosUnit) -> dict:
 
 def _execute_acceptance(unit: AcceptanceUnit) -> dict:
     # Imported lazily: repro.experiments imports repro.engine back.
-    from repro.experiments.algorithms import build_assignments
+    from repro.analysis.batch import TaskSetPopulation
+    from repro.experiments.algorithms import accept_populations
 
     generator = TaskSetGenerator(
         n_tasks=unit.n_tasks,
@@ -459,36 +461,21 @@ def _execute_acceptance(unit: AcceptanceUnit) -> dict:
         period_min=unit.period_min,
         period_max=unit.period_max,
     )
-    total = unit.utilization * unit.n_cores
-    if unit.batch:
-        from repro.analysis.batch import TaskSetPopulation
-        from repro.experiments.algorithms import accept_populations
-
-        generated = generator.generate_batch(total, unit.sets_per_point)
-        population = TaskSetPopulation.from_arrays(
-            generated.wcet,
-            generated.period,
-            generated.deadline,
-            generated.wss,
-            generated.names,
-        )
-        # One packing pass answers every batchable algorithm at once.
-        verdicts = accept_populations(
-            list(unit.algorithms), population, unit.n_cores, unit.overheads
-        )
-        accepted = {
-            name: sum(verdicts[name]) for name in unit.algorithms
-        }
-        return {"accepted": accepted, "total": population.n_sets}
-    tasksets = generator.generate_many(total, unit.sets_per_point)
-    accepted = dict.fromkeys(unit.algorithms, 0)
-    for ts in tasksets:
-        built = build_assignments(
-            unit.algorithms, ts, unit.n_cores, unit.overheads
-        )
-        for name in accepted:
-            accepted[name] += built[name] is not None
-    return {"accepted": accepted, "total": len(tasksets)}
+    generated = generator.generate_batch(
+        unit.utilization * unit.n_cores, unit.sets_per_point
+    )
+    population = TaskSetPopulation.from_arrays(
+        generated.wcet,
+        generated.period,
+        generated.deadline,
+        generated.wss,
+        generated.names,
+    )
+    verdicts = accept_populations(
+        list(unit.algorithms), population, unit.n_cores, unit.overheads
+    )
+    accepted = {name: sum(verdicts[name]) for name in unit.algorithms}
+    return {"accepted": accepted, "total": population.n_sets}
 
 
 def _execute_criteria(unit: CriteriaUnit) -> dict:

@@ -39,9 +39,6 @@ class AcceptanceConfig:
     algorithms: Sequence[str] = ("FP-TS", "FFD", "WFD")
     period_min: int = 10 * MS
     period_max: int = 1000 * MS
-    #: Analyze each point's population with the vectorized batch kernels
-    #: (bit-identical ratios; scalar fallback where inexpressible).
-    batch: bool = False
 
 
 @dataclass
@@ -152,7 +149,6 @@ def acceptance_units(config: AcceptanceConfig) -> List[AcceptanceUnit]:
             overheads=config.overheads,
             period_min=config.period_min,
             period_max=config.period_max,
-            batch=config.batch,
         )
         for point_index, normalized in enumerate(config.utilizations)
     ]

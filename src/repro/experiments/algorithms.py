@@ -318,22 +318,15 @@ def accept_population(
     population: TaskSetPopulation,
     n_cores: int,
     model: OverheadModel = OverheadModel.zero(),
-    batch: bool = True,
     stats: Optional[BatchStats] = None,
 ) -> List[bool]:
     """Accept/reject vector of ``algorithm`` over a whole population.
 
-    One-algorithm form of :func:`accept_populations`: the algorithms in
-    :data:`BATCH_ALGORITHMS` run through the struct-of-arrays kernels of
-    :mod:`repro.analysis.batch`; everything else (FP-TS included, since
-    FFD is not asked here), ``batch=False``, and any population the
-    batch layer cannot express (non-rate-monotonic priority order) take
-    the scalar incremental path one lane at a time.  Verdicts are
-    bit-identical either way (the batch-vs-scratch differential pair
-    enforces this continuously).
+    One-algorithm form of :func:`accept_populations` (FP-TS alone runs
+    the scalar splitter on every lane, since FFD is not asked here).
     """
     return accept_populations(
-        [algorithm], population, n_cores, model, batch=batch, stats=stats
+        [algorithm], population, n_cores, model, stats=stats
     )[algorithm]
 
 
@@ -342,28 +335,28 @@ def accept_populations(
     population: TaskSetPopulation,
     n_cores: int,
     model: OverheadModel = OverheadModel.zero(),
-    batch: bool = True,
     stats: Optional[BatchStats] = None,
 ) -> Dict[str, List[bool]]:
     """Accept/reject vectors of several algorithms over one population.
 
-    The batchable algorithms (:data:`BATCH_ALGORITHMS`) share a single
-    packing pass through
-    :func:`repro.analysis.batch.batch_partition_accept_multi` — the
-    per-step vectorized probes cover every algorithm's rows at once, so
-    asking five heuristics costs far less than five separate sweeps.
+    The path is picked per algorithm from the input, and every path
+    gives the verdicts of a separate :func:`accept` call per lane (the
+    batch-vs-scratch differential pair enforces this continuously):
 
-    FP-TS is FFD until FFD's first failure, so when FFD's row came from
-    the batch pass, every lane FFD accepts is an FP-TS accept and only
-    the FFD-rejected lanes run the scalar splitter.  Those lanes are
-    FP-TS's own work, not a batch failure: they are not counted as
-    ``scalar_fallbacks``.
-
-    Non-batchable algorithms, ``batch=False``, and populations the
-    batch layer rejects (each of those lanes counted once per batchable
-    algorithm in ``scalar_fallbacks``) run lane by lane through
-    :func:`build_assignments`, which still answers FP-TS and FFD from
-    one FP-TS run.
+    * the batchable algorithms (:data:`BATCH_ALGORITHMS`) share a single
+      packing pass through
+      :func:`repro.analysis.batch.batch_partition_accept_multi` — the
+      per-step vectorized probes cover every algorithm's rows at once;
+    * FP-TS is FFD until FFD's first failure, so when FFD's row came
+      from the batch pass, every lane FFD accepts is an FP-TS accept and
+      only the FFD-rejected lanes run the scalar splitter.  Those lanes
+      are FP-TS's own work, not a batch failure: they are not counted as
+      ``scalar_fallbacks``;
+    * everything else — and every batchable algorithm of a population
+      the batch layer rejects (:class:`PopulationError`, each lane
+      counted once per such algorithm in ``scalar_fallbacks``) — runs
+      lane by lane through :func:`build_assignments`, which still
+      answers FP-TS and FFD from one FP-TS run.
     """
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
@@ -373,7 +366,7 @@ def accept_populations(
             )
     wanted = list(dict.fromkeys(algorithms))
     out: Dict[str, List[bool]] = {}
-    batched = [a for a in wanted if batch and a in BATCH_ALGORITHMS]
+    batched = [a for a in wanted if a in BATCH_ALGORITHMS]
     if batched:
         try:
             matrix = batch_partition_accept_multi(

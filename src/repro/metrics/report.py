@@ -167,7 +167,7 @@ def record_analysis_stats(
     drift under a fixed scenario means analysis behaviour changed — but
     the family is *not* gated by :func:`compare_reports`: iteration
     counts legitimately differ between modes (that asymmetry is the
-    point; ``benchmarks/perf_partition.py`` records both).
+    point of the ``incremental-vs-oracle`` differential pair).
     """
     snapshot = stats.snapshot() if hasattr(stats, "snapshot") else dict(stats)
     registry.counter("ana_fixpoint_iterations_total", mode=mode).inc(

@@ -71,7 +71,6 @@ class JobSpec:
     algorithms: Tuple[str, ...] = ("FFD", "WFD")
     seed: int = 2011
     overheads: str = "zero"
-    batch: bool = False
 
     @staticmethod
     def from_dict(data: dict) -> "JobSpec":
@@ -96,7 +95,6 @@ class JobSpec:
             algorithms=tuple(data.get("algorithms", ("FFD", "WFD"))),
             seed=int(data.get("seed", 2011)),
             overheads=str(data.get("overheads", "zero")),
-            batch=bool(data.get("batch", False)),
         )
         if spec.n_cores < 1 or spec.n_tasks < 1 or spec.sets_per_point < 1:
             raise ValueError(
@@ -137,7 +135,6 @@ class JobSpec:
             seed=self.seed,
             overheads=model,
             algorithms=tuple(self.algorithms),
-            batch=self.batch,
         )
 
 

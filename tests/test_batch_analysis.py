@@ -33,7 +33,6 @@ from repro.analysis.batch import (
     BatchStats,
     PopulationError,
     TaskSetPopulation,
-    batch_partition_accept,
     batch_partition_accept_multi,
     batch_rta_responses,
 )
@@ -125,13 +124,12 @@ def test_single_config_wrappers_agree_with_multi():
     )
     for row, algorithm in zip(matrix, sorted(BATCH_ALGORITHMS)):
         placement, admission = BATCH_ALGORITHMS[algorithm]
-        single = batch_partition_accept(
+        single = batch_partition_accept_multi(
             population,
             N_CORES,
             model=model,
-            placement=placement,
-            admission=admission,
-        )
+            configs=[(placement, admission)],
+        )[0]
         assert np.array_equal(row, single)
         assert accept_population(
             algorithm, population, N_CORES, model
@@ -248,7 +246,7 @@ def _non_rm_population():
 def test_non_rm_order_raises_population_error():
     population, _ = _non_rm_population()
     with pytest.raises(PopulationError):
-        batch_partition_accept(population, N_CORES)
+        batch_partition_accept_multi(population, N_CORES)
 
 
 def test_non_rm_order_falls_back_to_scalar_with_counter():
@@ -279,7 +277,7 @@ def test_out_of_float64_range_raises_population_error():
         names=[("a", "b")],
     )
     with pytest.raises(PopulationError):
-        batch_partition_accept(population, N_CORES)
+        batch_partition_accept_multi(population, N_CORES)
 
 
 def test_from_tasksets_rejects_ragged_and_unprioritized():
@@ -314,7 +312,9 @@ def test_empty_population_shapes():
         [],
     )
     assert empty.n_sets == 0
-    single = batch_partition_accept(empty, N_CORES)
+    single = batch_partition_accept_multi(
+        empty, N_CORES, configs=[("first-fit", "rta")]
+    )[0]
     assert single.shape == (0,)
     matrix = batch_partition_accept_multi(
         empty, N_CORES, configs=list(BATCH_ALGORITHMS.values())

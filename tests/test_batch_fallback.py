@@ -7,8 +7,8 @@ cannot express (see ``test_batch_analysis.py``); here the failure is
 :class:`PopulationError` unconditionally — so the tests pin the fallback
 contract itself rather than any particular inexpressible input:
 
-* the returned verdicts are bit-identical to the scalar path
-  (``batch=False``);
+* the returned verdicts are bit-identical to a separate scalar
+  :func:`accept` call per lane;
 * every lane handed back is counted, both in the caller-supplied
   :class:`BatchStats` tracker and in the module-global ``BATCH_STATS``
   when no tracker is passed;
@@ -60,6 +60,13 @@ def _raise_population_error(*args, **kwargs):
     raise PopulationError("injected: batch kernel unavailable")
 
 
+def _scalar(algorithm, population, model=OverheadModel.zero()):
+    return [
+        accept(algorithm, taskset, N_CORES, model)
+        for taskset in population.tasksets()
+    ]
+
+
 @pytest.fixture
 def broken_batch(monkeypatch):
     """Make every batch kernel call fail (the registry imports only the
@@ -82,19 +89,15 @@ class TestInjectedFallbackSingle:
                 population,
                 N_CORES,
                 model=model,
-                batch=True,
                 stats=stats,
             )
-            scalar = accept_population(
-                algorithm, population, N_CORES, model=model, batch=False
-            )
-            assert fell_back == scalar
+            assert fell_back == _scalar(algorithm, population, model)
             assert stats.scalar_fallbacks == population.n_sets
 
     def test_fallback_counts_into_global_tracker(self, broken_batch):
         population = _population(seed=11)
         before = BATCH_STATS.scalar_fallbacks
-        accept_population("FFD", population, N_CORES, batch=True)
+        accept_population("FFD", population, N_CORES)
         assert (
             BATCH_STATS.scalar_fallbacks - before == population.n_sets
         )
@@ -102,9 +105,7 @@ class TestInjectedFallbackSingle:
     def test_metrics_reconcile(self, broken_batch):
         population = _population(seed=13)
         stats = BatchStats()
-        accept_population(
-            "WFD", population, N_CORES, batch=True, stats=stats
-        )
+        accept_population("WFD", population, N_CORES, stats=stats)
         registry = MetricsRegistry()
         record_batch_stats(registry, stats)
         assert (
@@ -123,20 +124,15 @@ class TestInjectedFallbackMulti:
         algorithms = sorted(BATCH_ALGORITHMS)
         stats = BatchStats()
         fell_back = accept_populations(
-            algorithms,
-            population,
-            N_CORES,
-            batch=True,
-            stats=stats,
+            algorithms, population, N_CORES, stats=stats
         )
-        scalar = accept_populations(
-            algorithms, population, N_CORES, batch=False
-        )
-        assert fell_back == scalar
+        assert fell_back == {
+            algorithm: _scalar(algorithm, population)
+            for algorithm in algorithms
+        }
         # The multi kernel fails once for the whole batched group, then
-        # each algorithm's scalar retry goes through accept_population
-        # with batch=False (which never touches the kernel again), so
-        # the count is exactly lanes x batched algorithms.
+        # every lane of each algorithm runs scalar, so the count is
+        # exactly lanes x batched algorithms.
         assert (
             stats.scalar_fallbacks
             == population.n_sets * len(algorithms)
@@ -146,9 +142,7 @@ class TestInjectedFallbackMulti:
         population = _population(seed=19)
         algorithms = ["FFD", "P-EDF"]
         stats = BatchStats()
-        accept_populations(
-            algorithms, population, N_CORES, batch=True, stats=stats
-        )
+        accept_populations(algorithms, population, N_CORES, stats=stats)
         registry = MetricsRegistry()
         record_batch_stats(registry, stats)
         assert (
@@ -170,10 +164,7 @@ class TestInjectedFallbackFpts:
             algorithms, population, N_CORES, model=model, stats=stats
         )
         assert fell_back == {
-            algorithm: [
-                accept(algorithm, taskset, N_CORES, model)
-                for taskset in population.tasksets()
-            ]
+            algorithm: _scalar(algorithm, population, model)
             for algorithm in algorithms
         }
         assert stats.scalar_fallbacks == population.n_sets * 2
@@ -186,12 +177,7 @@ class TestNoInjection:
         path and the fallback counter stays at zero."""
         population = _population(seed=23)
         stats = BatchStats()
-        batched = accept_population(
-            "FFD", population, N_CORES, batch=True, stats=stats
-        )
-        scalar = accept_population(
-            "FFD", population, N_CORES, batch=False
-        )
-        assert batched == scalar
+        batched = accept_population("FFD", population, N_CORES, stats=stats)
+        assert batched == _scalar("FFD", population)
         assert stats.scalar_fallbacks == 0
         assert stats.lanes == population.n_sets

@@ -179,6 +179,53 @@ class TestAcceptanceSweep:
         assert breakdown in (None, 0.99)
 
 
+@pytest.mark.parametrize("n_cores", [2, 4])
+@pytest.mark.parametrize(
+    "algorithms, overheads",
+    [
+        (("FP-TS", "FFD", "WFD"), "paper"),
+        (("FFD", "WFD", "BFD", "NFD", "P-EDF"), "zero"),
+        (("PDMS", "SPA2", "G-EDF"), "paper"),
+    ],
+    ids=["fpts-ffd-wfd-paper", "bin-packing", "non-batchable"],
+)
+def test_sweep_counts_equal_separate_accept_calls(
+    n_cores, algorithms, overheads
+):
+    """Every sweep point goes through one population-wide path; its
+    counts must equal a plain loop of one :func:`accept` call per
+    algorithm and task set, drawn with the sweep's per-point seeds."""
+    n_tasks = 8
+    model = (
+        OverheadModel.paper_core_i7(n_tasks // n_cores)
+        if overheads == "paper"
+        else OverheadModel.zero()
+    )
+    config = AcceptanceConfig(
+        n_cores=n_cores,
+        n_tasks=n_tasks,
+        sets_per_point=8,
+        utilizations=[0.4, 0.6, 0.8, 0.9, 0.95],
+        overheads=model,
+        algorithms=algorithms,
+        seed=5,
+    )
+    result = run_acceptance(config)
+    for index, normalized in enumerate(config.utilizations):
+        tasksets = TaskSetGenerator(
+            n_tasks=n_tasks,
+            seed=config.seed + 7919 * index,
+            period_min=config.period_min,
+            period_max=config.period_max,
+        ).generate_many(normalized * n_cores, config.sets_per_point)
+        for name in algorithms:
+            count = sum(accept(name, ts, n_cores, model) for ts in tasksets)
+            assert result.ratios[name][index] == count / len(tasksets), (
+                name,
+                normalized,
+            )
+
+
 class TestSensitivity:
     def test_scaling_monotone(self):
         """Mean acceptance must not increase as overheads grow."""

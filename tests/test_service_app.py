@@ -286,6 +286,12 @@ class TestCampaignJobs:
                 app, "POST", "/v1/campaign", {"sets_per_point": 0}
             )
             assert status == 400
+            # The old engine switch is gone: an unknown field, not a no-op.
+            status, _, doc = await call(
+                app, "POST", "/v1/campaign", {"batch": True}
+            )
+            assert status == 400
+            assert "unknown campaign field" in doc["error"]
             await app.shutdown()
 
         asyncio.run(run())
