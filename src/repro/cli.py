@@ -37,19 +37,11 @@ from repro.model.generator import TaskSetGenerator
 from repro.model.io import load_taskset, save_taskset
 from repro.model.time import MS
 from repro.overhead.measure import measure_queue_operations
-from repro.overhead.model import OverheadModel
+from repro.overhead.model import OverheadModel, overhead_model_from_spec
 from repro.trace.gantt import render_gantt
 
 
 def _overhead_model(spec: str, tasks_per_core: int) -> OverheadModel:
-    if spec == "zero":
-        return OverheadModel.zero()
-    if spec == "paper":
-        return OverheadModel.paper_core_i7(tasks_per_core)
-    if spec.startswith("paper*"):
-        return OverheadModel.paper_core_i7(tasks_per_core).scaled(
-            float(spec.split("*", 1)[1])
-        )
     if spec.startswith("calib:"):
         from repro.workload.calibrate import CalibrationResult
 
@@ -63,10 +55,12 @@ def _overhead_model(spec: str, tasks_per_core: int) -> OverheadModel:
         except (ValueError, KeyError, TypeError) as exc:
             raise SystemExit(f"--overheads: calibration {path!r}: {exc}")
         return result.overhead_model(tasks_per_core)
-    raise SystemExit(
-        f"unknown overhead spec {spec!r}; use zero | paper | "
-        "paper*<factor> | calib:<file> (from 'repro calibrate')"
-    )
+    try:
+        return overhead_model_from_spec(spec, tasks_per_core)
+    except ValueError as exc:
+        raise SystemExit(
+            f"--overheads: {exc} (or calib:<file> from 'repro calibrate')"
+        )
 
 
 def _parse_algorithms(spec: str) -> tuple:

@@ -57,10 +57,6 @@ class WorkloadSweepResult:
     config: WorkloadSweepConfig
     cells: Dict[Tuple[float, float], Optional[dict]]
 
-    @property
-    def failed_points(self) -> List[Tuple[float, float]]:
-        return [key for key, payload in self.cells.items() if payload is None]
-
     def cell(self, scale: float, intensity: float) -> dict:
         for (s, i), payload in self.cells.items():
             if math.isclose(s, scale, rel_tol=1e-9) and math.isclose(

@@ -80,9 +80,6 @@ class RTTask:
         """Core hosting the first subtask — where the task sleeps (paper §2)."""
         return self.stages[0].core
 
-    def priority_on(self, core: int) -> int:
-        return self.local_priority[core]
-
 
 class Job:
     """One activation (job) of a runtime task.
@@ -241,16 +238,6 @@ class Job:
     @property
     def work_done(self) -> bool:
         return self.work_left == 0
-
-    @property
-    def executed(self) -> int:
-        """Work units consumed so far (excludes cache penalties)."""
-        return self.work - self.work_left
-
-    @property
-    def over_nominal(self) -> bool:
-        """True once the job has consumed its analysed (nominal) demand."""
-        return self.executed >= self.nominal_work
 
     def advance_stage(self) -> Stage:
         """Move to the next stage; returns it.  Caller handles migration."""

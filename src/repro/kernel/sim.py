@@ -227,7 +227,6 @@ class _Core:
         "overhead_ns",
         "busy_pj",
         "overhead_pj",
-        "seq",
     )
 
     def __init__(self, index: int) -> None:
@@ -245,11 +244,6 @@ class _Core:
         self.overhead_ns = 0
         self.busy_pj = 0
         self.overhead_pj = 0
-        self.seq = 0
-
-    def next_seq(self) -> int:
-        self.seq += 1
-        return self.seq
 
 
 class KernelSim:

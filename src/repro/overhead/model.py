@@ -211,3 +211,29 @@ class OverheadModel:
             f"cnt2_finish={self.cnt2_finish}ns, "
             f"cnt2_migrate={self.cnt2_migrate}ns)"
         )
+
+
+def overhead_model_from_spec(spec: str, tasks_per_core: int) -> OverheadModel:
+    """``zero | paper | paper*<factor>`` → model.
+
+    Raises :class:`ValueError` for any other spec, and for a factor that
+    is negative or not finite (negative overheads would admit task sets
+    the platform cannot run).
+    """
+    if spec == "zero":
+        return OverheadModel.zero()
+    if spec == "paper":
+        return OverheadModel.paper_core_i7(tasks_per_core)
+    if spec.startswith("paper*"):
+        try:
+            factor = float(spec.split("*", 1)[1])
+        except ValueError:
+            factor = math.nan
+        if not (math.isfinite(factor) and factor >= 0):
+            raise ValueError(
+                f"bad overhead factor in {spec!r}; use a finite number >= 0"
+            )
+        return OverheadModel.paper_core_i7(tasks_per_core).scaled(factor)
+    raise ValueError(
+        f"unknown overhead spec {spec!r}; use zero | paper | paper*<factor>"
+    )

@@ -1,15 +1,16 @@
 """Schedulability-as-a-service: the resilient asyncio front end.
 
-The ROADMAP's "millions of users" direction: a long-running HTTP
-service (``repro serve``) wrapping the incremental analysis contexts,
-the vectorized batch kernel, the content-addressed result cache, and
-the experiment engine behind online admission control and campaign
-jobs.  The load-bearing part is the resilience core:
+A long-running HTTP service (``repro serve``) that puts the analysis
+stack, the content-addressed result cache and the experiment engine
+behind online admission control and campaign jobs.  Admission answers
+through :func:`~repro.experiments.algorithms.build_assignments`;
+campaigns run on the population kernel.  The load-bearing part is the
+resilience core:
 
 * :mod:`repro.service.resilience` — token-bucket load shedding, a
   bounded admission queue, per-request deadline budgets, per-shard
   circuit breakers, and the explicit degradation ladder
-  (batch → scalar → cache-only → shed);
+  (compute → cache-only → shed);
 * :mod:`repro.service.shards` — the supervised worker-shard pool,
   routed by unit fingerprints;
 * :mod:`repro.service.jobs` — journal-resumable campaign jobs (crash

@@ -17,9 +17,9 @@ plus a small parser) that wraps the analysis stack for online use:
 Every response is explicit about what it is: a ``200`` carries a real
 verdict (possibly with ``"degraded"`` naming the rung that produced
 it), a ``429``/``503`` carries a truthful ``Retry-After``.  There is no
-path that returns a wrong or hung answer: compute rungs that fail step
-down the ladder, the cache rung answers only byte-validated entries,
-and the final rung sheds.
+path that returns a wrong or hung answer: a compute rung that fails
+twice steps down to the cache rung, which answers only byte-validated
+entries, and the final rung sheds.
 """
 
 from __future__ import annotations
@@ -33,21 +33,25 @@ from typing import Dict, Optional, Tuple
 from repro.engine import AdmissionUnit, ResultCache, unit_fingerprint
 from repro.engine.units import admission_taskset, execute_admission
 from repro.metrics.registry import MetricsRegistry
+from repro.overhead.model import overhead_model_from_spec
 from repro.service.chaos import ChaosController
-from repro.service.jobs import JobManager, JobSpec, overhead_model_from_spec
+from repro.service.jobs import JobManager, JobSpec
 from repro.service.resilience import (
-    MODES,
     BoundedQueue,
     DeadlineBudget,
     DegradationLadder,
     TokenBucket,
-    mode_index,
 )
 from repro.service.shards import DeadlineExceeded, ShardPool
 
 #: Largest accepted request body; admission task sets and campaign specs
 #: are small, so anything bigger is a client bug or an attack.
 MAX_BODY_BYTES = 1 << 20
+
+#: Compute attempts per admission request.  The retry is what lets one
+#: killed shard still yield a computed answer; a second failure steps
+#: down to the cache rung.
+COMPUTE_ATTEMPTS = 2
 
 Response = Tuple[int, Dict[str, str], bytes]
 
@@ -304,66 +308,56 @@ class ServiceApp:
         """Walk the ladder from its current rung until a rung answers."""
         fingerprint = unit_fingerprint(unit)
         shard_index = self.pool.route(fingerprint)
-        level = mode_index(self.ladder.mode)
-        entry_level = level
-        # An open breaker on the routed shard degrades this request to
-        # the cache rung without consuming the ladder's global state.
-        if level < 2 and not self.pool.allow(shard_index):
-            level = 2
-            self.ladder.count_downgrade("cache", "breaker")
+        self.ladder.recover()
+        mode = self.ladder.mode
+        if mode == "shed":
+            return self._shed(503, "ladder", 1.0)
+        if mode == "compute":
+            if self.pool.allow(shard_index):
+                payload = await self._compute(unit, shard_index, budget)
+                if payload is not None:
+                    self.cache.store(fingerprint, payload)
+                    return self._verdict_response(unit, payload)
+            else:
+                # An open breaker on the routed shard degrades this
+                # request to the cache rung without consuming the
+                # ladder's global state.
+                self.ladder.count_downgrade("cache", "breaker")
+        payload = self.cache.load(fingerprint)
+        if payload is not None and "verdicts" in payload:
+            self.metrics.counter("svc_cache_answers_total").inc()
+            return self._verdict_response(
+                unit, payload,
+                degraded="cache" if mode == "compute" else None,
+            )
+        retry_after = max(1.0, self.pool.retry_after(shard_index))
+        return self._shed(503, "cache-miss", retry_after)
 
-        from repro.analysis.batch import PopulationError
-
-        while True:
-            mode = MODES[level]
-            if budget.expired() and mode in ("batch", "scalar"):
-                # No time left to compute; drop to the cache rung.
+    async def _compute(
+        self, unit: AdmissionUnit, shard_index: int, budget: DeadlineBudget
+    ) -> Optional[dict]:
+        """The compute rung: the payload, or None to fall to the cache."""
+        for _ in range(COMPUTE_ATTEMPTS):
+            if budget.expired():
                 self.ladder.count_downgrade("cache", "deadline")
-                level = 2
-                continue
-            if mode == "shed":
-                return self._shed(503, "ladder", 1.0)
-            if mode == "cache":
-                payload = self.cache.load(fingerprint)
-                if payload is not None and "verdicts" in payload:
-                    self.metrics.counter("svc_cache_answers_total").inc()
-                    return self._verdict_response(
-                        unit, payload, degraded="cache" if entry_level < 2
-                        else None,
-                    )
-                retry_after = max(1.0, self.pool.retry_after(shard_index))
-                return self._shed(503, "cache-miss", retry_after)
-            # Compute rungs: batch or scalar, on the routed shard.
+                return None
             try:
-                if mode == "batch" and self.chaos is not None:
-                    self.chaos.before_batch()
-                payload = await self.pool.run(
+                return await self.pool.run(
                     shard_index,
-                    lambda: execute_admission(unit, mode),
+                    lambda: execute_admission(unit),
                     timeout=budget.sub_timeout(),
-                    kind=f"admission:{mode}",
+                    kind="admission",
                 )
-            except PopulationError:
-                self.ladder.report_failure("batch")
-                self.ladder.count_downgrade("scalar", "batch-error")
-                level = max(level, 1)
-                continue
             except DeadlineExceeded:
                 self.ladder.report_failure("deadline")
                 self.ladder.count_downgrade("cache", "deadline")
-                level = 2
-                continue
+                return None
             except Exception:
-                # ShardKilled or a genuine analysis crash: breaker has
-                # been fed by the pool; step one rung down.
+                # ShardKilled or a genuine analysis crash: the pool has
+                # fed the breaker and respawned a killed shard.
                 self.ladder.report_failure("shard")
-                level = min(level + 1, len(MODES) - 1)
-                self.ladder.count_downgrade(MODES[level], "shard-failure")
-                continue
-            self.cache.store(fingerprint, payload)
-            self.ladder.report_success()
-            degraded = mode if level > entry_level else None
-            return self._verdict_response(unit, payload, degraded=degraded)
+        self.ladder.count_downgrade("cache", "shard-failure")
+        return None
 
     def _verdict_response(
         self,

@@ -38,26 +38,9 @@ from repro.experiments.acceptance import (
     assemble_acceptance,
 )
 from repro.metrics.registry import MetricsRegistry, active as _metrics_active
-from repro.overhead.model import OverheadModel
+from repro.overhead.model import overhead_model_from_spec
 from repro.service.chaos import ShardKilled
 from repro.service.shards import DeadlineExceeded, ShardPool
-
-
-def overhead_model_from_spec(spec: str, tasks_per_core: int) -> OverheadModel:
-    """``zero | paper | paper*<factor>`` → model (ValueError, not exit)."""
-    if spec == "zero":
-        return OverheadModel.zero()
-    if spec == "paper":
-        return OverheadModel.paper_core_i7(tasks_per_core)
-    if spec.startswith("paper*"):
-        try:
-            factor = float(spec.split("*", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad overhead factor in {spec!r}") from None
-        return OverheadModel.paper_core_i7(tasks_per_core).scaled(factor)
-    raise ValueError(
-        f"unknown overhead spec {spec!r}; use zero | paper | paper*<factor>"
-    )
 
 
 @dataclass(frozen=True)

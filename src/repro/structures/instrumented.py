@@ -54,10 +54,6 @@ class OperationStats:
         return self.total_ns / self.count if self.count else 0.0
 
     @property
-    def max_us(self) -> float:
-        return self.max_ns / 1000.0
-
-    @property
     def mean_us(self) -> float:
         return self.mean_ns / 1000.0
 
@@ -70,12 +66,6 @@ class _StatsCollection:
         if name not in self.ops:
             self.ops[name] = OperationStats()
         return self.ops[name]
-
-    def worst_case_us(self) -> float:
-        """Max over all operation types, in microseconds."""
-        if not self.ops:
-            return 0.0
-        return max(stat.max_us for stat in self.ops.values())
 
     def op_counts(self) -> Dict[str, int]:
         """Deterministic per-operation counts (sorted by name)."""

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.faults.plan import OVERRUN_POLICIES, FaultPlan
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
-from repro.overhead.model import OverheadModel
+from repro.overhead.model import OverheadModel, overhead_model_from_spec
 from repro.trace.validate import CheckContext, run_checkers
 
 
@@ -97,16 +97,9 @@ class Scenario:
         return ts.assign_rate_monotonic()
 
     def overhead_model(self) -> OverheadModel:
-        spec = self.overheads
-        if spec == "zero":
-            return OverheadModel.zero()
-        if spec == "paper" or spec.startswith("paper*"):
-            tasks_per_core = max(1, len(self.tasks) // self.n_cores)
-            model = OverheadModel.paper_core_i7(tasks_per_core)
-            if spec.startswith("paper*"):
-                model = model.scaled(float(spec[len("paper*"):]))
-            return model
-        raise ValueError(f"unknown overhead spec {spec!r}")
+        return overhead_model_from_spec(
+            self.overheads, max(1, len(self.tasks) // self.n_cores)
+        )
 
     def horizon(self) -> int:
         return self.duration_factor * max(t.period for t in self.tasks)

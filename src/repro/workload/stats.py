@@ -18,7 +18,7 @@ flip means the synthesizer's distribution drifted, not bad luck.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 #: c(alpha) coefficients for the two-sample KS critical value.
 _KS_COEFFICIENTS = {
@@ -199,18 +199,3 @@ def _merge_small_bins(
             merged_a.append(acc_a)
             merged_b.append(acc_b)
     return merged_a, merged_b
-
-
-def summarize_samples(samples: Sequence[float]) -> Dict[str, float]:
-    """Mean/variance/dispersion summary used in test failure messages."""
-    if not samples:
-        raise ValueError("samples must be non-empty")
-    n = len(samples)
-    mean = sum(samples) / n
-    variance = sum((x - mean) ** 2 for x in samples) / n
-    return {
-        "n": float(n),
-        "mean": mean,
-        "variance": variance,
-        "dispersion": variance / mean if mean else 0.0,
-    }

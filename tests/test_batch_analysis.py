@@ -406,8 +406,8 @@ def test_fpts_on_non_rm_population_matches_scalar():
 
 @pytest.mark.parametrize("lane", range(8))
 def test_single_lane_shared_pass_matches_scalar(lane):
-    """One-lane populations (the service's batch rung) over every
-    FFD/FP-TS outcome of the cliff population above."""
+    """One-lane populations over every FFD/FP-TS outcome of the cliff
+    population above."""
     _, tasksets = _population(41, 0.95, count=8)
     population = TaskSetPopulation.from_tasksets([tasksets[lane]])
     verdicts = accept_populations(SHARED, population, N_CORES, MODELS[1])

@@ -181,6 +181,11 @@ class TestCli:
                 ]
             )
 
+    @pytest.mark.parametrize("spec", ["paper*x", "paper*-1", "paper*inf"])
+    def test_bad_overhead_factor_exits_cleanly(self, spec):
+        with pytest.raises(SystemExit, match="bad overhead factor"):
+            main(["sweep", "--sets", "1", "--overheads", spec])
+
     def test_scaled_overheads(self, workload_file, capsys):
         code = main(
             [

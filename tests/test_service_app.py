@@ -2,8 +2,8 @@
 
 ``ServiceApp.handle()`` is a pure async function from (method, path,
 body) to a response triple, so almost everything here runs without a
-socket: verdict correctness (batch rung ≡ scalar rung ≡ the library's
-own ``accept``), input validation, rate/queue shedding with honest
+socket: verdict correctness (the service ≡ the library's own
+``accept``), input validation, rate/queue shedding with honest
 ``Retry-After``, the campaign job lifecycle, and the journal-backed
 restart-resume bit-identity guarantee.  One test boots the real
 asyncio socket server on an ephemeral port and speaks actual HTTP/1.1.
@@ -68,42 +68,41 @@ class TestAdmission:
     def test_verdicts_match_the_library(self, tmp_path):
         async def run():
             app = make_app(tmp_path)
+            algorithms = ["FFD", "WFD", "P-EDF"]
             status, _, doc = await call(
-                app, "POST", "/v1/admission", admission_body()
+                app, "POST", "/v1/admission",
+                admission_body(algorithms=algorithms),
             )
             assert status == 200
             taskset = taskset_from_dict(
                 {"tasks": TASKS}
             ).assign_rate_monotonic()
-            for name in ("FFD", "WFD"):
+            for name in algorithms:
                 assert doc["verdicts"][name] == accept(name, taskset, 2)
             assert doc["admitted"] == sorted(
                 n for n, ok in doc["verdicts"].items() if ok
             )
             assert "degraded" not in doc
             assert (
-                app.metrics.sum_of("svc_admission_verdicts_total") == 2
+                app.metrics.sum_of("svc_admission_verdicts_total") == 3
             )
             await app.shutdown()
 
         asyncio.run(run())
 
-    def test_batch_rung_equals_scalar_rung(self, tmp_path):
+    def test_admission_does_not_run_the_batch_kernel(self, tmp_path):
+        from repro.analysis.batch import BATCH_STATS
+
         async def run():
-            batch_app = make_app(tmp_path, name="batch")
-            scalar_app = make_app(tmp_path, name="scalar")
-            scalar_app.ladder.force("scalar")
-            body = admission_body(algorithms=["FFD", "WFD", "P-EDF"])
-            _, _, batch_doc = await call(
-                batch_app, "POST", "/v1/admission", body
-            )
-            status, _, scalar_doc = await call(
-                scalar_app, "POST", "/v1/admission", body
+            app = make_app(tmp_path)
+            lanes = BATCH_STATS.lanes
+            status, _, _ = await call(
+                app, "POST", "/v1/admission",
+                admission_body(algorithms=["FP-TS", "FFD", "WFD"]),
             )
             assert status == 200
-            assert batch_doc["verdicts"] == scalar_doc["verdicts"]
-            await batch_app.shutdown()
-            await scalar_app.shutdown()
+            assert BATCH_STATS.lanes == lanes
+            await app.shutdown()
 
         asyncio.run(run())
 
@@ -144,6 +143,14 @@ class TestAdmission:
                 json.dumps(
                     admission_body(overheads="paper*banana")
                 ).encode(),
+                "overhead",
+            ),
+            (
+                json.dumps(admission_body(overheads="paper*-1")).encode(),
+                "overhead",
+            ),
+            (
+                json.dumps(admission_body(overheads="paper*inf")).encode(),
                 "overhead",
             ),
         ],

@@ -87,7 +87,7 @@ def reference_verdicts(tmp_path):
 
 
 class TestKilledShards:
-    def test_one_kill_degrades_to_scalar_with_correct_verdicts(
+    def test_one_kill_retries_compute_with_correct_verdicts(
         self, tmp_path
     ):
         truth = reference_verdicts(tmp_path)
@@ -97,8 +97,9 @@ class TestKilledShards:
             app = make_app(tmp_path, chaos=chaos)
             status, _, doc = await admission(app, body())
             assert status == 200
-            assert doc["degraded"] == "scalar"
-            assert doc["verdicts"] == truth  # degraded, never wrong
+            # The retry computes the answer: not a downgrade.
+            assert "degraded" not in doc
+            assert doc["verdicts"] == truth
             assert chaos.injected == {"kill": 1}
             assert (
                 app.metrics.value(
@@ -108,14 +109,8 @@ class TestKilledShards:
                 )
                 == 1
             )
-            assert (
-                app.metrics.value(
-                    "svc_degraded_total",
-                    to="cache",
-                    reason="shard-failure",
-                )
-                is None  # it only fell one rung
-            )
+            assert app.metrics.sum_of("svc_degraded_total") == 0
+            assert app.ladder.mode == "compute"
             await app.shutdown()
 
         asyncio.run(run())
@@ -130,8 +125,8 @@ class TestKilledShards:
                 breaker_threshold=2,
                 ladder_trip_threshold=100,  # isolate breaker behaviour
             )
-            # Both compute rungs die; the breaker opens; the cold cache
-            # cannot answer; the request is shed explicitly.
+            # Compute and its retry both die; the breaker opens; the
+            # cold cache cannot answer; the request is shed explicitly.
             status, headers, doc = await admission(app, body())
             assert status == 503
             assert doc == {"error": "overloaded", "reason": "cache-miss"}
@@ -171,8 +166,8 @@ class TestKilledShards:
                 breaker_reset_s=1.0,
                 ladder_trip_threshold=100,
             )
-            # Two kills on one request: trip open on the batch rung,
-            # fail again (still open) on the scalar rung, shed.
+            # Two kills on one request: trip open on the first compute
+            # attempt, fail again (still open) on the retry, shed.
             status, _, _ = await admission(app, body())
             assert status == 503
             breaker = app.pool.shards[0].breaker
@@ -261,7 +256,7 @@ class TestCorruptCache:
             assert quarantined.is_file()
             # Climbing back to a compute rung refills the slot, and the
             # recomputed verdicts match the pre-corruption answer.
-            app.ladder.force("batch")
+            app.ladder.force("compute")
             status, _, doc = await admission(app, body())
             assert status == 200
             assert doc["verdicts"] == healthy["verdicts"]
@@ -314,43 +309,50 @@ class TestClockSkew:
 
 
 class TestFullLadderWalk:
-    def test_batch_scalar_cache_shed_in_one_request(self, tmp_path):
+    def test_compute_retry_cache_shed_in_one_request(self, tmp_path):
         truth = reference_verdicts(tmp_path)
-        chaos = ChaosController(
-            ChaosConfig(fail_batch_first_n=1, kill_first_n=1)
-        )
+        chaos = ChaosController(ChaosConfig(kill_first_n=2))
+        clock = FakeClock()
 
         async def run():
-            app = make_app(tmp_path, chaos=chaos)
-            # batch rung: PopulationError -> scalar rung: shard killed
-            # -> cache rung: cold miss -> shed.  One request, the whole
-            # ladder, and an explicit refusal at the bottom.
+            app = make_app(tmp_path, chaos=chaos, clock=clock)
+            # compute: shard killed -> retry: killed again -> cache
+            # rung: cold miss -> shed.  One request, the whole ladder,
+            # and an explicit refusal at the bottom.
             status, _, doc = await admission(app, body())
             assert status == 503
             assert doc == {"error": "overloaded", "reason": "cache-miss"}
-            assert chaos.injected == {"fail_batch": 1, "kill": 1}
+            assert chaos.injected == {"kill": 2}
             text = await metrics_text(app)
-            assert (
-                'svc_degraded_total{reason="batch-error",to="scalar"} 1'
-                in text
-            )
-            assert (
-                'svc_degraded_total{reason="shard",to="scalar"} 1'
-                in text
-            )
             assert (
                 'svc_degraded_total{reason="shard-failure",to="cache"} 1'
                 in text
             )
             assert 'svc_shed_total{reason="cache-miss"} 1' in text
-            # Two rung failures tripped the service-wide ladder down to
-            # scalar; with chaos exhausted it serves correct verdicts
-            # from there.
-            assert app.ladder.mode == "scalar"
+            # Two compute failures (ladder_trip_threshold) tripped the
+            # service-wide ladder to the cache rung.
+            assert app.ladder.mode == "cache"
+            assert (
+                'svc_degraded_total{reason="shard",to="cache"} 1' in text
+            )
+            assert "svc_ladder_level 1" in text
+            # Inside the recovery window the next request stays on the
+            # cache rung: no compute, another cold miss.
+            status, _, doc = await admission(app, body())
+            assert status == 503
+            assert doc["reason"] == "cache-miss"
+            assert chaos.injected == {"kill": 2}
+            # After ladder_recovery_s without a failure the ladder
+            # climbs back, and compute answers correctly.
+            clock.advance(app.config.ladder_recovery_s)
             status, _, doc = await admission(app, body())
             assert status == 200
             assert doc["verdicts"] == truth
-            assert "svc_ladder_level 1" in await metrics_text(app)
+            assert "degraded" not in doc
+            assert app.ladder.mode == "compute"
+            text = await metrics_text(app)
+            assert 'svc_recovered_total{to="compute"} 1' in text
+            assert "svc_ladder_level 0" in text
             await app.shutdown()
 
         asyncio.run(run())
