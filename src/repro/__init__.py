@@ -39,48 +39,34 @@ Quickstart::
     print(assignment.describe())
 """
 
-from repro.model import (
-    MS,
-    NS,
-    SEC,
-    US,
-    Assignment,
-    Task,
-    TaskSet,
-    TaskSetGenerator,
-)
-from repro.analysis import assignment_schedulable, core_schedulable
-from repro.cache import CacheHierarchy, CachePenaltyModel
-from repro.kernel import KernelSim, SimulationResult
-from repro.overhead import OverheadModel, inflate_taskset
-from repro.partition import (
-    partition_first_fit_decreasing,
-    partition_worst_fit_decreasing,
-)
-from repro.semipart import FptsConfig, fpts_partition
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "NS",
-    "US",
-    "MS",
-    "SEC",
-    "Task",
-    "TaskSet",
-    "TaskSetGenerator",
-    "Assignment",
-    "assignment_schedulable",
-    "core_schedulable",
-    "CacheHierarchy",
-    "CachePenaltyModel",
-    "KernelSim",
-    "SimulationResult",
-    "OverheadModel",
-    "inflate_taskset",
-    "partition_first_fit_decreasing",
-    "partition_worst_fit_decreasing",
-    "FptsConfig",
-    "fpts_partition",
-    "__version__",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "NS": "model.time",
+    "US": "model.time",
+    "MS": "model.time",
+    "SEC": "model.time",
+    "Task": "model.task",
+    "TaskSet": "model.taskset",
+    "TaskSetGenerator": "model.generator",
+    "Assignment": "model.assignment",
+    "assignment_schedulable": "analysis.rta",
+    "core_schedulable": "analysis.rta",
+    "CacheHierarchy": "cache.model",
+    "CachePenaltyModel": "cache.model",
+    "KernelSim": "kernel.sim",
+    "SimulationResult": "kernel.sim",
+    "OverheadModel": "overhead.model",
+    "inflate_taskset": "overhead.accounting",
+    "partition_first_fit_decreasing": "partition.heuristics",
+    "partition_worst_fit_decreasing": "partition.heuristics",
+    "FptsConfig": "semipart.fpts",
+    "fpts_partition": "semipart.fpts",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

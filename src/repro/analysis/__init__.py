@@ -7,96 +7,50 @@ struct-of-arrays batch kernels (:mod:`repro.analysis.batch`) that run the
 same exact tests over whole task-set populations in lock-step.
 """
 
-from repro.analysis.rta import (
-    CoreAnalysis,
-    EntryResult,
-    assignment_schedulable,
-    core_schedulable,
-    entry_response_time,
-    order_entries,
-    response_time,
-)
-from repro.analysis.batch import (
-    BATCH_STATS,
-    BatchStats,
-    PopulationError,
-    TaskSetPopulation,
-    batch_partition_accept_multi,
-    batch_rta_responses,
-)
-from repro.analysis.incremental import (
-    STATS,
-    AnalysisStats,
-    CoreAnalysisContext,
-    EdfCoreContext,
-    make_edf_context,
-    make_rta_context,
-)
-from repro.analysis.bounds import (
-    liu_layland_bound,
-    liu_layland_schedulable,
-    hyperbolic_schedulable,
-    spa_light_threshold,
-)
-from repro.analysis.edf import (
-    demand_bound,
-    edf_schedulable,
-    edf_utilization_schedulable,
-)
-from repro.analysis.global_bounds import (
-    global_edf_gfb_schedulable,
-    global_rm_us_schedulable,
-)
-from repro.analysis.blocking import (
-    assignment_schedulable_with_resources,
-    core_schedulable_with_resources,
-)
-from repro.analysis.qpa import qpa_schedulable
-from repro.analysis.opa import opa_admission, opa_order, opa_schedulable
-from repro.analysis.oracle import fp_schedulable_oracle
-from repro.analysis.slack import (
-    SensitivityReport,
-    sensitivity_report,
-    wcet_margin,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CoreAnalysis",
-    "EntryResult",
-    "assignment_schedulable",
-    "core_schedulable",
-    "entry_response_time",
-    "order_entries",
-    "response_time",
-    "BATCH_STATS",
-    "BatchStats",
-    "PopulationError",
-    "TaskSetPopulation",
-    "batch_partition_accept_multi",
-    "batch_rta_responses",
-    "STATS",
-    "AnalysisStats",
-    "CoreAnalysisContext",
-    "EdfCoreContext",
-    "make_edf_context",
-    "make_rta_context",
-    "liu_layland_bound",
-    "liu_layland_schedulable",
-    "hyperbolic_schedulable",
-    "spa_light_threshold",
-    "demand_bound",
-    "edf_schedulable",
-    "edf_utilization_schedulable",
-    "global_edf_gfb_schedulable",
-    "global_rm_us_schedulable",
-    "assignment_schedulable_with_resources",
-    "core_schedulable_with_resources",
-    "qpa_schedulable",
-    "opa_admission",
-    "opa_order",
-    "opa_schedulable",
-    "fp_schedulable_oracle",
-    "SensitivityReport",
-    "sensitivity_report",
-    "wcet_margin",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "CoreAnalysis": "rta",
+    "EntryResult": "rta",
+    "assignment_schedulable": "rta",
+    "core_schedulable": "rta",
+    "entry_response_time": "rta",
+    "order_entries": "rta",
+    "response_time": "rta",
+    "BATCH_STATS": "batch",
+    "BatchStats": "batch",
+    "PopulationError": "batch",
+    "TaskSetPopulation": "batch",
+    "batch_partition_accept_multi": "batch",
+    "batch_rta_responses": "batch",
+    "STATS": "incremental",
+    "AnalysisStats": "incremental",
+    "CoreAnalysisContext": "incremental",
+    "EdfCoreContext": "incremental",
+    "make_edf_context": "incremental",
+    "make_rta_context": "incremental",
+    "liu_layland_bound": "bounds",
+    "liu_layland_schedulable": "bounds",
+    "hyperbolic_schedulable": "bounds",
+    "spa_light_threshold": "bounds",
+    "demand_bound": "edf",
+    "edf_schedulable": "edf",
+    "edf_utilization_schedulable": "edf",
+    "global_edf_gfb_schedulable": "global_bounds",
+    "global_rm_us_schedulable": "global_bounds",
+    "assignment_schedulable_with_resources": "blocking",
+    "core_schedulable_with_resources": "blocking",
+    "qpa_schedulable": "qpa",
+    "opa_admission": "opa",
+    "opa_order": "opa",
+    "opa_schedulable": "opa",
+    "fp_schedulable_oracle": "oracle",
+    "SensitivityReport": "slack",
+    "sensitivity_report": "slack",
+    "wcet_margin": "slack",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

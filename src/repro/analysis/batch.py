@@ -54,8 +54,8 @@ from dataclasses import dataclass
 from dataclasses import field as dataclasses_field
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
+# numpy is imported inside the functions that run the kernels, so
+# BATCH_STATS and the population types load without it.
 from repro.cache.model import CacheHierarchy, CachePenaltyModel
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
@@ -177,6 +177,8 @@ class TaskSetPopulation:
     def from_arrays(
         cls, wcet, period, deadline, wss, names
     ) -> "TaskSetPopulation":
+        import numpy as np
+
         return cls(
             wcet=np.ascontiguousarray(wcet, dtype=np.int64),
             period=np.ascontiguousarray(period, dtype=np.int64),
@@ -191,6 +193,8 @@ class TaskSetPopulation:
     ) -> "TaskSetPopulation":
         """Pack ``tasksets`` (uniform size, priorities assigned) into a
         population; raises :class:`PopulationError` otherwise."""
+        import numpy as np
+
         sets = list(tasksets)
         sizes = {len(ts) for ts in sets}
         if len(sizes) > 1:
@@ -252,6 +256,8 @@ class TaskSetPopulation:
         :func:`repro.overhead.accounting.inflate_taskset` applies it:
         one per-job charge from the lane's largest working set, added to
         every WCET and clamped to the deadline."""
+        import numpy as np
+
         if self.n_sets == 0 or self.n_tasks == 0:
             return self.wcet.copy()
         lane_wss = self.wss.max(axis=1)
@@ -293,6 +299,8 @@ def _name_ranks(names) -> np.ndarray:
     """Per-lane ascending-name rank of each column (0 = lexicographically
     smallest).  Numpy ``<U`` comparison is code-point lexicographic with
     null padding, identical to python ``str`` ordering for the tie-break."""
+    import numpy as np
+
     arr = np.array(names)
     if arr.ndim == 1:  # zero-task lanes collapse the second axis
         arr = arr.reshape(len(names), -1)
@@ -312,6 +320,8 @@ def _placement_order(u: np.ndarray, name_rank: np.ndarray) -> np.ndarray:
     Implemented as a stable two-pass row-wise sort (descending name,
     then descending utilization): float negation is exact, so the float
     comparisons and the name tie-breaks match the scalar path."""
+    import numpy as np
+
     sec = np.argsort(-name_rank, axis=1, kind="stable")
     u_sec = np.take_along_axis(u, sec, axis=1)
     prim = np.argsort(-u_sec, axis=1, kind="stable")
@@ -323,6 +333,8 @@ _LT_CACHE: dict = {}
 
 
 def _lower_triangle(n: int) -> np.ndarray:
+    import numpy as np
+
     mask = _LT_CACHE.get(n)
     if mask is None:
         mask = np.tril(np.ones((n, n), dtype=bool), k=-1)
@@ -408,6 +420,8 @@ def _fixed_point(
     the full iteration would, while the non-capped values are only
     guaranteed to be lower bounds of the true responses.
     """
+    import numpy as np
+
     is_float = budget.dtype == np.float64
     rows, P = budget.shape
     if rows == 0 or P == 0:
@@ -574,6 +588,8 @@ def batch_rta_responses(
     sentinel value is the identical integer
     :func:`repro.analysis.rta.response_time` computes for that entry.
     """
+    import numpy as np
+
     stats = stats if stats is not None else BATCH_STATS
     budget = np.ascontiguousarray(wcet, dtype=np.int64)
     if budget.size == 0:
@@ -624,6 +640,8 @@ def _busy_period_rows(
     """Synchronous busy-period length per row (masked triples); returns
     ``(length, converged)`` — non-converged rows (effective utilization
     above 1, or runaway growth) must fall back to the scalar test."""
+    import numpy as np
+
     length = cmask.sum(axis=1)
     active = length > 0
     for _ in range(256):
@@ -653,6 +671,8 @@ def _edf_demand_rows(
     point at or below the violating instant.  Rows the grid cannot
     cover affordably are answered by the scalar test instead.
     """
+    import numpy as np
+
     from repro.analysis.edf import edf_schedulable
 
     rows, n = cmask.shape
@@ -766,6 +786,8 @@ def batch_partition_accept_multi(
     order float utilization accumulation, and every admission epsilon —
     on each lane individually.
     """
+    import numpy as np
+
     configs = [tuple(cfg) for cfg in configs]
     for placement, admission in configs:
         if placement not in PLACEMENTS:

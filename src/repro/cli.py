@@ -27,21 +27,15 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.rta import core_schedulable
-from repro.experiments.acceptance import AcceptanceConfig, run_acceptance
-from repro.experiments.algorithms import ALGORITHMS, build_assignment
-from repro.faults import OVERRUN_POLICIES
+# Only what build_parser() needs loads with the CLI; every handler
+# imports the modules it runs, so a command pays for nothing else.
+from repro.faults.plan import OVERRUN_POLICIES
 from repro.kernel.sched_class import SCHED_CLASSES
-from repro.kernel.sim import KernelSim
-from repro.model.generator import TaskSetGenerator
-from repro.model.io import load_taskset, save_taskset
-from repro.model.time import MS
-from repro.overhead.measure import measure_queue_operations
-from repro.overhead.model import OverheadModel, overhead_model_from_spec
-from repro.trace.gantt import render_gantt
 
 
-def _overhead_model(spec: str, tasks_per_core: int) -> OverheadModel:
+def _overhead_model(spec: str, tasks_per_core: int) -> "OverheadModel":
+    from repro.overhead.model import overhead_model_from_spec
+
     if spec.startswith("calib:"):
         from repro.workload.calibrate import CalibrationResult
 
@@ -69,6 +63,8 @@ def _parse_algorithms(spec: str) -> tuple:
     Unknown names are a one-line error naming the valid choices, not a
     traceback from deep inside the sweep.
     """
+    from repro.experiments.algorithms import ALGORITHMS
+
     names = tuple(name.strip() for name in spec.split(",") if name.strip())
     if not names:
         raise SystemExit(
@@ -85,6 +81,8 @@ def _parse_algorithms(spec: str) -> tuple:
 
 
 def _check_algorithm(name: str) -> str:
+    from repro.experiments.algorithms import ALGORITHMS
+
     if name not in ALGORITHMS:
         raise SystemExit(
             f"unknown algorithm {name!r}; valid choices: "
@@ -113,7 +111,21 @@ def _load_fault_plan(path):
         raise SystemExit(f"--faults: {exc}")
 
 
+def _load_tasks(path: str):
+    """The task set in ``path``, priorities assigned (one-line errors)."""
+    from repro.model.io import load_taskset
+
+    try:
+        return load_taskset(path).assign_rate_monotonic()
+    except OSError as exc:
+        raise SystemExit(f"--tasks: cannot read {path!r}: {exc}")
+    except ValueError as exc:
+        raise SystemExit(f"--tasks {path!r}: {exc}")
+
+
 def _cmd_list_algorithms(_args) -> int:
+    from repro.experiments.algorithms import ALGORITHMS
+
     width = max(len(name) for name in ALGORITHMS)
     for name, spec in sorted(ALGORITHMS.items()):
         print(f"{name:<{width}}  [{spec.kind:>16}]  {spec.description}")
@@ -121,18 +133,34 @@ def _cmd_list_algorithms(_args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from repro.model.generator import TaskSetGenerator
+    from repro.model.io import save_taskset
+
+    _check_positive(args.n_tasks, "--n-tasks")
+    if args.utilization <= 0:
+        raise SystemExit(
+            f"--utilization must be positive, got {args.utilization}"
+        )
     generator = TaskSetGenerator(n_tasks=args.n_tasks, seed=args.seed)
-    taskset = generator.generate(args.utilization)
-    save_taskset(taskset, args.out)
+    try:
+        taskset = generator.generate(args.utilization)
+    except (ValueError, RuntimeError) as exc:
+        raise SystemExit(f"generate: {exc}")
+    try:
+        save_taskset(taskset, args.out)
+    except OSError as exc:
+        raise SystemExit(f"--out: cannot write {args.out!r}: {exc}")
     print(f"wrote {len(taskset)} tasks (U={taskset.total_utilization:.3f}) "
           f"to {args.out}")
     return 0
 
 
 def _prepare(args):
+    from repro.experiments.algorithms import build_assignment
+
     _check_algorithm(args.algorithm)
     _check_positive(args.cores, "--cores")
-    taskset = load_taskset(args.tasks).assign_rate_monotonic()
+    taskset = _load_tasks(args.tasks)
     tasks_per_core = max(1, len(taskset) // args.cores)
     model = _overhead_model(args.overheads, tasks_per_core)
     assignment = build_assignment(args.algorithm, taskset, args.cores, model)
@@ -140,6 +168,9 @@ def _prepare(args):
 
 
 def _cmd_analyze(args) -> int:
+    from repro.analysis.rta import core_schedulable
+    from repro.model.time import MS
+
     taskset, _model, assignment = _prepare(args)
     print(taskset.describe())
     print()
@@ -170,11 +201,23 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.experiments.algorithms import ALGORITHMS
+    from repro.kernel.sim import KernelSim
+    from repro.model.time import MS
+
+    _check_positive(args.duration_ms, "--duration-ms")
     if getattr(args, "assignment", None):
         from repro.model.io import load_assignment
 
-        taskset = load_taskset(args.tasks).assign_rate_monotonic()
-        assignment = load_assignment(args.assignment)
+        taskset = _load_tasks(args.tasks)
+        try:
+            assignment = load_assignment(args.assignment)
+        except OSError as exc:
+            raise SystemExit(
+                f"--assignment: cannot read {args.assignment!r}: {exc}"
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SystemExit(f"--assignment {args.assignment!r}: {exc}")
         model = _overhead_model(
             args.overheads, max(1, len(taskset) // args.cores)
         )
@@ -263,6 +306,8 @@ def _cmd_simulate(args) -> int:
             f"meanR={stats.mean_response / MS:9.3f} ms"
         )
     if args.gantt:
+        from repro.trace.gantt import render_gantt
+
         window = min(args.duration_ms * MS, 50 * MS)
         print()
         print(render_gantt(result.trace, args.cores, width=100, end=window))
@@ -371,6 +416,8 @@ def _cmd_workload_sweep(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.workload is not None:
         return _cmd_workload_sweep(args)
+    from repro.experiments.acceptance import AcceptanceConfig, run_acceptance
+
     algorithms = _parse_algorithms(args.algorithms)
     _check_positive(args.cores, "--cores")
     _check_positive(args.n_tasks, "--n-tasks")
@@ -430,7 +477,7 @@ def _mean_axis(result, algorithm: str, axis: str) -> float:
 
 def _cmd_campaign(args) -> int:
     from repro.experiments.campaign import CRITERIA_AXES, run_campaign
-    from repro.overhead.model import OverheadModel as _OM
+    from repro.overhead.model import OverheadModel
 
     algorithms = _parse_algorithms(args.algorithms)
     core_counts = tuple(int(c) for c in args.core_counts.split(","))
@@ -446,8 +493,8 @@ def _cmd_campaign(args) -> int:
         task_counts=task_counts,
         algorithms=algorithms,
         overhead_specs=(
-            ("zero", _OM.zero()),
-            ("paper", _OM.paper_core_i7(4)),
+            ("zero", OverheadModel.zero()),
+            ("paper", OverheadModel.paper_core_i7(4)),
         ),
         sets_per_point=args.sets,
         engine=engine,
@@ -504,6 +551,9 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    from repro.overhead.measure import measure_queue_operations
+
+    _check_positive(args.rounds, "--rounds")
     print(f"{'N':>4} {'ready max(us)':>14} {'ready mean(us)':>15} "
           f"{'sleep max(us)':>14} {'sleep mean(us)':>15}")
     for n in (4, 16, 64):
@@ -537,6 +587,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_workload(args) -> int:
     """Trace ingest / profile fitting / scenario synthesis."""
+    from repro.model.time import MS
     from repro.workload import (
         ScenarioSynthesizer,
         StormSpec,
@@ -621,8 +672,9 @@ def _cmd_profile(args) -> int:
     """
     import json as _json
 
-    from repro.kernel.sim import KernelSim as _KernelSim
+    from repro.kernel.sim import KernelSim
     from repro.metrics import MetricsRegistry, build_report
+    from repro.model.time import MS
 
     _check_positive(args.cores, "--cores")
     _check_positive(args.duration_ms, "--duration-ms")
@@ -638,7 +690,7 @@ def _cmd_profile(args) -> int:
             )
             return 1
         plan = _load_fault_plan(args.faults)
-        result = _KernelSim(
+        result = KernelSim(
             assignment,
             model,
             duration=args.duration_ms * MS,

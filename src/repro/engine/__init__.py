@@ -29,40 +29,29 @@ point_index``), so results do not depend on which process computed them,
 in which order they finished, or how often they were retried or resumed.
 """
 
-from repro.engine.cache import ResultCache
-from repro.engine.executor import EngineStats, ExperimentEngine, UnitFailure
-from repro.engine.units import (
-    CACHE_SCHEMA_VERSION,
-    AcceptanceUnit,
-    AdmissionUnit,
-    ChaosUnit,
-    CriteriaUnit,
-    ProfileUnit,
-    SplittingUnit,
-    VerifyUnit,
-    WorkloadUnit,
-    execute_admission,
-    execute_unit,
-    unit_fingerprint,
-    unit_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "AcceptanceUnit",
-    "AdmissionUnit",
-    "ChaosUnit",
-    "CriteriaUnit",
-    "ProfileUnit",
-    "SplittingUnit",
-    "VerifyUnit",
-    "WorkloadUnit",
-    "execute_admission",
-    "EngineStats",
-    "ExperimentEngine",
-    "ResultCache",
-    "UnitFailure",
-    "execute_unit",
-    "unit_fingerprint",
-    "unit_spec",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "CACHE_SCHEMA_VERSION": "units",
+    "AcceptanceUnit": "units",
+    "AdmissionUnit": "units",
+    "ChaosUnit": "units",
+    "CriteriaUnit": "units",
+    "ProfileUnit": "units",
+    "SplittingUnit": "units",
+    "VerifyUnit": "units",
+    "WorkloadUnit": "units",
+    "execute_admission": "units",
+    "EngineStats": "executor",
+    "ExperimentEngine": "executor",
+    "ResultCache": "cache",
+    "UnitFailure": "executor",
+    "execute_unit": "units",
+    "unit_fingerprint": "units",
+    "unit_spec": "units",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -21,10 +21,8 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple, Union
 
-from repro.model.generator import TaskSetGenerator
 from repro.model.time import MS, SEC
 from repro.overhead.model import OverheadModel
-from repro.workload.profile import WorkloadProfile
 
 #: Bump whenever unit semantics or payload layout change: the version is
 #: hashed into every cache key, so stale cache entries are invalidated
@@ -346,6 +344,7 @@ def _execute_profile(unit: ProfileUnit) -> dict:
     from repro.experiments.algorithms import build_assignment
     from repro.kernel.sim import KernelSim
     from repro.metrics.registry import MetricsRegistry
+    from repro.model.generator import TaskSetGenerator
 
     generator = TaskSetGenerator(
         n_tasks=unit.n_tasks,
@@ -425,6 +424,7 @@ def _execute_acceptance(unit: AcceptanceUnit) -> dict:
     # Imported lazily: repro.experiments imports repro.engine back.
     from repro.analysis.batch import TaskSetPopulation
     from repro.experiments.algorithms import accept_populations
+    from repro.model.generator import TaskSetGenerator
 
     generator = TaskSetGenerator(
         n_tasks=unit.n_tasks,
@@ -455,6 +455,7 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
     from repro.experiments.algorithms import ALGORITHMS, build_assignments
     from repro.kernel.global_sim import build_global_assignment
     from repro.kernel.sim import KernelSim
+    from repro.model.generator import TaskSetGenerator
 
     generator = TaskSetGenerator(
         n_tasks=unit.n_tasks,
@@ -566,6 +567,7 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
 
 def _execute_splitting(unit: SplittingUnit) -> dict:
     from repro.experiments.algorithms import build_assignment
+    from repro.model.generator import TaskSetGenerator
 
     generator = TaskSetGenerator(
         n_tasks=unit.n_tasks,

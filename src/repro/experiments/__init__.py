@@ -10,60 +10,35 @@
 * :mod:`repro.experiments.splitting` — split/migration statistics (E7).
 """
 
-from repro.experiments.algorithms import (
-    ALGORITHMS,
-    AlgorithmSpec,
-    accept,
-    build_assignment,
-)
-from repro.experiments.acceptance import (
-    AcceptanceConfig,
-    AcceptanceResult,
-    run_acceptance,
-)
-from repro.experiments.sensitivity import run_overhead_sensitivity
-from repro.experiments.validate import ValidationReport, validate_by_simulation
-from repro.experiments.splitting import SplittingStats, splitting_statistics
-from repro.experiments.breakdown import (
-    BreakdownResult,
-    critical_scaling_factor,
-    run_breakdown,
-)
-from repro.experiments.campaign import (
-    CRITERIA_AXES,
-    CampaignRecord,
-    CampaignResult,
-    run_campaign,
-)
-from repro.experiments.plot import (
-    acceptance_plot,
-    ascii_plot,
-    pareto_front,
-    pareto_table,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ALGORITHMS",
-    "AlgorithmSpec",
-    "accept",
-    "build_assignment",
-    "AcceptanceConfig",
-    "AcceptanceResult",
-    "run_acceptance",
-    "run_overhead_sensitivity",
-    "ValidationReport",
-    "validate_by_simulation",
-    "SplittingStats",
-    "splitting_statistics",
-    "BreakdownResult",
-    "critical_scaling_factor",
-    "run_breakdown",
-    "CRITERIA_AXES",
-    "CampaignRecord",
-    "CampaignResult",
-    "run_campaign",
-    "acceptance_plot",
-    "ascii_plot",
-    "pareto_front",
-    "pareto_table",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "ALGORITHMS": "algorithms",
+    "AlgorithmSpec": "algorithms",
+    "accept": "algorithms",
+    "build_assignment": "algorithms",
+    "AcceptanceConfig": "acceptance",
+    "AcceptanceResult": "acceptance",
+    "run_acceptance": "acceptance",
+    "run_overhead_sensitivity": "sensitivity",
+    "ValidationReport": "validate",
+    "validate_by_simulation": "validate",
+    "SplittingStats": "splitting",
+    "splitting_statistics": "splitting",
+    "BreakdownResult": "breakdown",
+    "critical_scaling_factor": "breakdown",
+    "run_breakdown": "breakdown",
+    "CRITERIA_AXES": "campaign",
+    "CampaignRecord": "campaign",
+    "CampaignResult": "campaign",
+    "run_campaign": "campaign",
+    "acceptance_plot": "plot",
+    "ascii_plot": "plot",
+    "pareto_front": "plot",
+    "pareto_table": "plot",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -26,13 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.batch import (
-    BATCH_STATS,
-    BatchStats,
-    PopulationError,
-    TaskSetPopulation,
-    batch_partition_accept_multi,
-)
 from repro.analysis.global_bounds import (
     global_edf_gfb_schedulable,
     global_rm_us_schedulable,
@@ -315,10 +308,10 @@ BATCH_ALGORITHMS: Dict[str, Tuple[str, str]] = {
 
 def accept_population(
     algorithm: str,
-    population: TaskSetPopulation,
+    population: "TaskSetPopulation",
     n_cores: int,
     model: OverheadModel = OverheadModel.zero(),
-    stats: Optional[BatchStats] = None,
+    stats: Optional["BatchStats"] = None,
 ) -> List[bool]:
     """Accept/reject vector of ``algorithm`` over a whole population.
 
@@ -332,10 +325,10 @@ def accept_population(
 
 def accept_populations(
     algorithms: Sequence[str],
-    population: TaskSetPopulation,
+    population: "TaskSetPopulation",
     n_cores: int,
     model: OverheadModel = OverheadModel.zero(),
-    stats: Optional[BatchStats] = None,
+    stats: Optional["BatchStats"] = None,
 ) -> Dict[str, List[bool]]:
     """Accept/reject vectors of several algorithms over one population.
 
@@ -358,6 +351,14 @@ def accept_populations(
       lane by lane through :func:`build_assignments`, which still
       answers FP-TS and FFD from one FP-TS run.
     """
+    # Imported here, not at module top: single-set callers (admission,
+    # analyze) never run the batch kernel, so they never load it.
+    from repro.analysis.batch import (
+        BATCH_STATS,
+        PopulationError,
+        batch_partition_accept_multi,
+    )
+
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             raise KeyError(

@@ -27,32 +27,27 @@ the ``legacy-vs-plugin`` differential pair; it is not imported here, so
 import it from :mod:`repro.kernel.legacy` directly.
 """
 
-from repro.kernel.events import EventQueue, Event
-from repro.kernel.runtime import Job, RTTask, Stage, build_runtime_tasks
-from repro.kernel.sched_class import (
-    BACKGROUND_KEY,
-    FAIR_KEY_BASE,
-    SCHED_CLASSES,
-    SchedulingClass,
-    make_sched_class,
-)
-from repro.kernel.sim import KernelSim, SimulationResult, DeadlineMiss
-from repro.kernel.global_sim import build_global_assignment
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BACKGROUND_KEY",
-    "EventQueue",
-    "Event",
-    "FAIR_KEY_BASE",
-    "Job",
-    "RTTask",
-    "SCHED_CLASSES",
-    "SchedulingClass",
-    "Stage",
-    "build_global_assignment",
-    "build_runtime_tasks",
-    "make_sched_class",
-    "KernelSim",
-    "SimulationResult",
-    "DeadlineMiss",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "BACKGROUND_KEY": "sched_class",
+    "EventQueue": "events",
+    "Event": "events",
+    "FAIR_KEY_BASE": "sched_class",
+    "Job": "runtime",
+    "RTTask": "runtime",
+    "SCHED_CLASSES": "sched_class",
+    "SchedulingClass": "sched_class",
+    "Stage": "runtime",
+    "build_global_assignment": "global_sim",
+    "build_runtime_tasks": "runtime",
+    "make_sched_class": "sched_class",
+    "KernelSim": "sim",
+    "SimulationResult": "sim",
+    "DeadlineMiss": "sim",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

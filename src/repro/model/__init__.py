@@ -7,46 +7,35 @@ simulation exact and makes the paper's microsecond-scale overheads directly
 representable.
 """
 
-from repro.model.time import NS, US, MS, SEC, ns_to_us, ns_to_ms, format_ns
-from repro.model.task import Task, rm_sort_key, dm_sort_key
-from repro.model.taskset import TaskSet
-from repro.model.split import Subtask, SplitTask
-from repro.model.assignment import (
-    Assignment,
-    CoreAssignment,
-    Entry,
-    EntryKind,
-)
-from repro.model.generator import (
-    TaskSetGenerator,
-    uunifast,
-    uunifast_discard,
-    log_uniform_periods,
-)
-from repro.model.resources import CriticalSection, ResourceModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NS",
-    "US",
-    "MS",
-    "SEC",
-    "ns_to_us",
-    "ns_to_ms",
-    "format_ns",
-    "Task",
-    "rm_sort_key",
-    "dm_sort_key",
-    "TaskSet",
-    "Subtask",
-    "SplitTask",
-    "Assignment",
-    "CoreAssignment",
-    "Entry",
-    "EntryKind",
-    "TaskSetGenerator",
-    "uunifast",
-    "uunifast_discard",
-    "log_uniform_periods",
-    "CriticalSection",
-    "ResourceModel",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "NS": "time",
+    "US": "time",
+    "MS": "time",
+    "SEC": "time",
+    "ns_to_us": "time",
+    "ns_to_ms": "time",
+    "format_ns": "time",
+    "Task": "task",
+    "rm_sort_key": "task",
+    "dm_sort_key": "task",
+    "TaskSet": "taskset",
+    "Subtask": "split",
+    "SplitTask": "split",
+    "Assignment": "assignment",
+    "CoreAssignment": "assignment",
+    "Entry": "assignment",
+    "EntryKind": "assignment",
+    "TaskSetGenerator": "generator",
+    "uunifast": "generator",
+    "uunifast_discard": "generator",
+    "log_uniform_periods": "generator",
+    "CriticalSection": "resources",
+    "ResourceModel": "resources",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

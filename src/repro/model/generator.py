@@ -22,8 +22,6 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.model.time import MS, US
@@ -264,6 +262,8 @@ class TaskSetGenerator:
                 "generate_batch requires assign_rm=True: batch lanes "
                 "are packed in rate-monotonic priority order"
             )
+        import numpy as np
+
         n = self.n_tasks
         utilization = np.empty((count, n), dtype=np.float64)
         periods = np.empty((count, n), dtype=np.int64)

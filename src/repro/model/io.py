@@ -43,20 +43,27 @@ def taskset_to_dict(taskset: TaskSet) -> dict:
 
 
 def taskset_from_dict(data: dict) -> TaskSet:
-    if "tasks" not in data:
+    """Parse the task-set JSON schema; malformed input is a ValueError."""
+    if not isinstance(data, dict) or not isinstance(data.get("tasks"), list):
         raise ValueError("task-set JSON must have a top-level 'tasks' list")
     tasks = []
     for index, spec in enumerate(data["tasks"]):
+        if not isinstance(spec, dict):
+            raise ValueError(f"task #{index}: expected an object")
         try:
             name = spec.get("name", f"t{index:03d}")
             wcet = int(round(spec["wcet_us"] * US))
             period = int(round(spec["period_us"] * US))
+            deadline = int(round(spec.get("deadline_us", 0) * US))
+            wss = int(round(spec.get("wss_kib", 64) * 1024))
         except KeyError as missing:
             raise ValueError(
                 f"task #{index}: missing required field {missing}"
             ) from None
-        deadline = int(round(spec.get("deadline_us", 0) * US))
-        wss = int(round(spec.get("wss_kib", 64) * 1024))
+        except (TypeError, OverflowError):
+            raise ValueError(
+                f"task #{index}: times must be finite numbers"
+            ) from None
         tasks.append(
             Task(
                 name=name,

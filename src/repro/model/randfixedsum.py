@@ -16,8 +16,6 @@ from __future__ import annotations
 import random
 from typing import List
 
-import numpy as np
-
 
 def randfixedsum(
     rng: random.Random,
@@ -51,6 +49,8 @@ def randfixedsum(
 
 def _unit_randfixedsum(rng: random.Random, n: int, s: float) -> List[float]:
     """Stafford's algorithm on the unit cube."""
+    import numpy as np
+
     s = min(max(s, 0.0), float(n))
     if n == 1:
         return [s]

@@ -12,33 +12,24 @@ Reproduces Section 3 of the paper:
   overheads into schedulability analysis (Section 4 of the paper).
 """
 
-from repro.overhead.model import OverheadModel, PAPER_QUEUE_POINTS
-from repro.overhead.accounting import (
-    arrival_overhead,
-    completion_overhead,
-    inflate_taskset,
-    migration_in_overhead,
-    migration_out_overhead,
-    per_job_overhead,
-    per_migration_overhead,
-)
-from repro.overhead.measure import (
-    QueueMeasurement,
-    measure_queue_operations,
-    measure_scheduler_functions,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OverheadModel",
-    "PAPER_QUEUE_POINTS",
-    "arrival_overhead",
-    "completion_overhead",
-    "inflate_taskset",
-    "migration_in_overhead",
-    "migration_out_overhead",
-    "per_job_overhead",
-    "per_migration_overhead",
-    "QueueMeasurement",
-    "measure_queue_operations",
-    "measure_scheduler_functions",
-]
+#: Public name -> defining submodule, imported on first access.
+_EXPORTS = {
+    "OverheadModel": "model",
+    "PAPER_QUEUE_POINTS": "model",
+    "arrival_overhead": "accounting",
+    "completion_overhead": "accounting",
+    "inflate_taskset": "accounting",
+    "migration_in_overhead": "accounting",
+    "migration_out_overhead": "accounting",
+    "per_job_overhead": "accounting",
+    "per_migration_overhead": "accounting",
+    "QueueMeasurement": "measure",
+    "measure_queue_operations": "measure",
+    "measure_scheduler_functions": "measure",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -32,7 +32,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.engine import AdmissionUnit, ResultCache, unit_fingerprint
 from repro.engine.units import admission_taskset, execute_admission
+from repro.experiments.algorithms import ALGORITHMS
 from repro.metrics.registry import MetricsRegistry
+from repro.model.io import taskset_from_dict
 from repro.overhead.model import overhead_model_from_spec
 from repro.service.chaos import ChaosController
 from repro.service.jobs import JobManager, JobSpec
@@ -249,9 +251,6 @@ class ServiceApp:
             raise ValueError("body is not valid JSON") from None
         if not isinstance(data, dict) or "tasks" not in data:
             raise ValueError("body must be an object with a 'tasks' list")
-        from repro.experiments.algorithms import ALGORITHMS
-        from repro.model.io import taskset_from_dict
-
         taskset = taskset_from_dict({"tasks": data["tasks"]})
         if len(taskset) == 0:
             raise ValueError("'tasks' must be non-empty")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-import repro.experiments.algorithms as algorithms_mod
+import repro.analysis.batch as batch_mod
 from repro.analysis.batch import (
     BATCH_STATS,
     BatchStats,
@@ -69,10 +69,11 @@ def _scalar(algorithm, population, model=OverheadModel.zero()):
 
 @pytest.fixture
 def broken_batch(monkeypatch):
-    """Make every batch kernel call fail (the registry imports only the
-    multi-config kernel; ``accept_population`` goes through it too)."""
+    """Make every batch kernel call fail (the registry looks up only the
+    multi-config kernel, in :mod:`repro.analysis.batch` at call time;
+    ``accept_population`` goes through it too)."""
     monkeypatch.setattr(
-        algorithms_mod,
+        batch_mod,
         "batch_partition_accept_multi",
         _raise_population_error,
     )

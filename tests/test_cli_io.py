@@ -186,6 +186,78 @@ class TestCli:
         with pytest.raises(SystemExit, match="bad overhead factor"):
             main(["sweep", "--sets", "1", "--overheads", spec])
 
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["analyze", "--tasks", "{missing}"], "--tasks: cannot read"),
+            (["analyze", "--tasks", "{malformed}"], "Expecting value"),
+            (["analyze", "--tasks", "{negative}"], "wcet must be positive"),
+            (["analyze", "--tasks", "{not_object}"], "expected an object"),
+            (["simulate", "--tasks", "{missing}"], "--tasks: cannot read"),
+            (["simulate", "--tasks", "{malformed}"], "Expecting value"),
+            (["profile", "--tasks", "{missing}"], "--tasks: cannot read"),
+            (
+                ["simulate", "--tasks", "{workload}", "--assignment",
+                 "{missing}"],
+                "--assignment: cannot read",
+            ),
+            (
+                ["simulate", "--tasks", "{workload}", "--duration-ms", "0"],
+                "--duration-ms must be at least 1",
+            ),
+            (
+                ["simulate", "--tasks", "{workload}", "--duration-ms", "-5"],
+                "--duration-ms must be at least 1",
+            ),
+            (
+                ["generate", "--utilization", "1", "--out",
+                 "{missing_dir}/ws.json"],
+                "--out: cannot write",
+            ),
+            (
+                ["generate", "--n-tasks", "0", "--utilization", "1",
+                 "--out", "{out}"],
+                "--n-tasks must be at least 1",
+            ),
+            (
+                ["generate", "--utilization", "-1", "--out", "{out}"],
+                "--utilization must be positive",
+            ),
+            (
+                ["generate", "--utilization", "9", "--n-tasks", "4",
+                 "--out", "{out}"],
+                "cannot fit total utilization",
+            ),
+            (["measure", "--rounds", "0"], "--rounds must be at least 1"),
+            (["measure", "--rounds", "-3"], "--rounds must be at least 1"),
+        ],
+    )
+    def test_bad_input_exits_cleanly(
+        self, argv, match, tmp_path, workload_file
+    ):
+        """Bad files and flag values end in a one-line SystemExit
+        message (exit status 1), never a traceback."""
+        files = {
+            "malformed": "not json",
+            "negative": json.dumps(
+                {"tasks": [{"wcet_us": -1, "period_us": 1000}]}
+            ),
+            "not_object": json.dumps({"tasks": [7]}),
+        }
+        paths = {
+            "missing": tmp_path / "absent.json",
+            "missing_dir": tmp_path / "absent-dir",
+            "out": tmp_path / "out.json",
+            "workload": workload_file,
+        }
+        for key, text in files.items():
+            paths[key] = tmp_path / f"{key}.json"
+            paths[key].write_text(text)
+        with pytest.raises(SystemExit, match=match) as info:
+            main([arg.format(**paths) for arg in argv])
+        assert isinstance(info.value.code, str)
+        assert "\n" not in info.value.code
+
     def test_scaled_overheads(self, workload_file, capsys):
         code = main(
             [
