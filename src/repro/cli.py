@@ -218,6 +218,9 @@ def _cmd_simulate(args) -> int:
             )
         except (ValueError, KeyError, TypeError) as exc:
             raise SystemExit(f"--assignment {args.assignment!r}: {exc}")
+        # A file saved without raw WCETs takes them from the task set.
+        for task in taskset:
+            assignment.raw_wcet.setdefault(task.name, task.wcet)
         model = _overhead_model(
             args.overheads, max(1, len(taskset) // args.cores)
         )
@@ -255,7 +258,6 @@ def _cmd_simulate(args) -> int:
         model,
         duration=args.duration_ms * MS,
         record_trace=args.gantt,
-        execution_times={task.name: task.wcet for task in taskset},
         seed=args.seed,
         faults=plan,
         overrun_policy=args.overrun_policy,
@@ -694,7 +696,6 @@ def _cmd_profile(args) -> int:
             assignment,
             model,
             duration=args.duration_ms * MS,
-            execution_times={task.name: task.wcet for task in taskset},
             seed=args.seed,
             faults=plan,
             overrun_policy=args.overrun_policy,

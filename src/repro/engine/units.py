@@ -363,7 +363,6 @@ def _execute_profile(unit: ProfileUnit) -> dict:
         assignment,
         unit.overheads,
         duration=unit.duration_ms * MS,
-        execution_times={task.name: task.wcet for task in taskset},
         seed=unit.seed,
         overrun_policy=unit.overrun_policy,
         metrics=registry,
@@ -477,7 +476,6 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
             else assignment,
             unit.overheads,
             duration=2 * max(task.period for task in taskset),
-            execution_times={task.name: task.wcet for task in taskset},
             seed=unit.seed,
             sched_class=spec.sched_class,
         ).run()

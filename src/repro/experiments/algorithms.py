@@ -243,7 +243,13 @@ def build_assignment(
     n_cores: int,
     model: OverheadModel = OverheadModel.zero(),
 ) -> Optional[Assignment]:
-    """Run ``algorithm`` and return its assignment (None = rejected)."""
+    """Run ``algorithm`` and return its assignment (None = rejected).
+
+    The assignment records each task's raw WCET
+    (:attr:`~repro.model.assignment.Assignment.raw_wcet`), so simulating
+    it charges the overheads once, as kernel work, and not a second
+    time through inflated job demands.
+    """
     try:
         spec = ALGORITHMS[algorithm]
     except KeyError:
@@ -251,7 +257,10 @@ def build_assignment(
             f"unknown algorithm {algorithm!r}; choose from "
             f"{sorted(ALGORITHMS)}"
         ) from None
-    return spec.fn(taskset, n_cores, model)
+    assignment = spec.fn(taskset, n_cores, model)
+    if assignment is not None:
+        assignment.raw_wcet = {task.name: task.wcet for task in taskset}
+    return assignment
 
 
 def build_assignments(

@@ -90,9 +90,9 @@ def validate_by_simulation(
         report.sets_accepted += 1
         # Simulate the overhead-aware assignment itself: its entry budgets
         # include the analysis inflation (the head-room reserved for kernel
-        # overheads), while every job executes only its *raw* WCET — the
-        # exact situation the analysis promises to cover.
-        raw_work = {task.name: task.wcet for task in taskset}
+        # overheads), while every job executes only its *raw* WCET (the
+        # assignment's default demand) — the exact situation the analysis
+        # promises to cover.
         sim_horizon = horizon
         if sim_horizon is None:
             longest = max(task.period for task in taskset)
@@ -102,7 +102,6 @@ def validate_by_simulation(
             model,
             duration=sim_horizon,
             record_trace=check_traces,
-            execution_times=raw_work,
         )
         result = sim.run()
         report.sets_simulated += 1

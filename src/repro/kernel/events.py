@@ -35,10 +35,12 @@ class Event:
     """A scheduled callback.  Use :meth:`cancel` to revoke it.
 
     ``priority`` breaks ties between events at the same instant: lower
-    values run first.  The simulator runs completions and kernel-op ends at
-    priority 0 and task releases at priority 10, so a job finishing exactly
-    when its successor is released is processed *before* the release — the
-    boundary case of an exactly-deadline-filling schedule.
+    values run first.  The simulator runs work-chunk completions at
+    priority 0, task releases at 10 and kernel-op ends at 20
+    (``_OP_PRIORITY``), so a job finishing exactly when its successor is
+    released is processed *before* the release — the boundary case of an
+    exactly-deadline-filling schedule — and every release at an instant
+    joins the kernel episode before its final scheduling pass.
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "cancelled")
@@ -111,6 +113,23 @@ class EventQueue:
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, priority, seq, None, fn))
+
+    def idle_through(self, time: int) -> bool:
+        """True when no live event is due at or before ``time``.
+
+        Cancelled entries at the head of the heap are dropped on the way
+        (every pop would skip them anyway).
+        """
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[0] > time:
+                return True
+            event = head[3]
+            if event is None or not event.cancelled:
+                return False
+            heapq.heappop(heap)
+        return True
 
     def pop_next(self) -> Optional[Event]:
         """Pop the next live event, advancing ``now``; None when drained."""

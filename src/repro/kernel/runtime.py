@@ -220,20 +220,31 @@ class Job:
         return self.penalty_left + min(self.stage_budget_left, self.work_left)
 
     def account(self, executed: int) -> None:
-        """Consume ``executed`` ns of CPU: penalty first, then budget+work."""
-        if executed < 0 or executed > self.remaining:
+        """Consume ``executed`` ns of CPU: penalty first, then budget+work.
+
+        Runs once per simulated CPU chunk, so it reads each field once.
+        """
+        penalty = self.penalty_left
+        budget = self.stage_budget_left
+        work = self.work_left
+        remaining = penalty + (budget if budget < work else work)
+        if executed < 0 or executed > remaining:
             raise ValueError(
-                f"job {self.name}: accounting {executed} of {self.remaining}"
+                f"job {self.name}: accounting {executed} of {remaining}"
             )
-        from_penalty = min(self.penalty_left, executed)
-        self.penalty_left -= from_penalty
+        from_penalty = penalty if penalty < executed else executed
+        self.penalty_left = penalty - from_penalty
         progress = executed - from_penalty
-        self.stage_budget_left -= progress
-        self.work_left -= progress
+        self.stage_budget_left = budget - progress
+        self.work_left = work - progress
 
     @property
     def chunk_done(self) -> bool:
-        return self.remaining == 0
+        return (
+            self.penalty_left
+            + min(self.stage_budget_left, self.work_left)
+            == 0
+        )
 
     @property
     def work_done(self) -> bool:

@@ -32,6 +32,7 @@ import time as _time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.energy.model import (
@@ -191,26 +192,19 @@ class SimulationResult:
         return sum(self.overhead_ns) / (self.duration * self.n_cores)
 
 
-class _Op:
-    """A unit of kernel execution on one core."""
-
-    __slots__ = ("kind", "duration", "effect", "label")
-
-    def __init__(
-        self,
-        kind: str,
-        duration: int,
-        effect: Callable[[int], None],
-        label: str,
-    ) -> None:
-        self.kind = kind
-        self.duration = duration
-        self.effect = effect
-        self.label = label
+#: One unit of kernel execution on a core, as a plain tuple
+#: ``(kind, duration, handler, job, label)``: ``handler(core, job, t)``
+#: applies the op's effect when it ends at ``t``.  A ``"sched"`` op's
+#: duration is decided when it starts (it depends on whether the pass
+#: preempts), so its tuple carries 0 there.
+_Op = Tuple[
+    str, int, Callable[["_Core", Optional[Job], int], None], Optional[Job], str
+]
 
 
 class _Core:
-    """Mutable per-core scheduler state."""
+    """Mutable per-core scheduler state, plus the core's pre-built op
+    callbacks and its overhead constants (at the core's clock)."""
 
     __slots__ = (
         "index",
@@ -221,12 +215,24 @@ class _Core:
         "completion_event",
         "in_kernel",
         "op_queue",
+        "op",
         "needs_sched",
         "free_dispatch",
         "busy_ns",
         "overhead_ns",
         "busy_pj",
         "overhead_pj",
+        "op_done",
+        "chunk_done",
+        "sched_op",
+        "active_mw",
+        "rls",
+        "sch_plain",
+        "sch_preempt",
+        "cnt1",
+        "finish_cost",
+        "migrate_cost",
+        "ready_op",
     )
 
     def __init__(self, index: int) -> None:
@@ -238,12 +244,58 @@ class _Core:
         self.completion_event: Optional[Event] = None
         self.in_kernel = False
         self.op_queue: Deque[_Op] = deque()
+        #: The op in flight (started, its end not yet reached).
+        self.op: Optional[_Op] = None
         self.needs_sched = False
         self.free_dispatch = False
         self.busy_ns = 0
         self.overhead_ns = 0
         self.busy_pj = 0
         self.overhead_pj = 0
+
+    def bind(
+        self, sim: "KernelSim", model: OverheadModel, active_mw: int
+    ) -> None:
+        """Pre-build the callbacks and cost constants the hot path reads."""
+        self.op_done = partial(sim._run_ops, self, finishing=True)
+        self.chunk_done = partial(sim._on_chunk_done, self)
+        self.sched_op = ("sched", 0, sim._do_sched, None, "sch")
+        self.active_mw = active_mw
+        self.rls = model.rls
+        self.sch_plain = model.sch(preemption=False)
+        self.sch_preempt = model.sch(preemption=True)
+        self.cnt1 = model.cnt1
+        self.finish_cost = self.sch_plain + model.cnt2_finish
+        self.migrate_cost = self.sch_plain + model.cnt2_migrate
+        self.ready_op = model.ready_op_ns
+
+
+class _Release:
+    """Per-task release template: what every release of the task reads
+    and no release changes, plus the task's one pending release timer
+    (``nominal``, fired through the pre-built ``fire``) and its current
+    job."""
+
+    __slots__ = (
+        "rt",
+        "name",
+        "cls",
+        "stats",
+        "demand",
+        "nominal_work",
+        "plans",
+        "core",
+        "home",
+        "label",
+        "nominal",
+        "fire",
+        "job",
+    )
+
+
+def _overrides(cls: SchedulingClass, hook: str) -> bool:
+    """True when ``cls`` replaces the base class's no-op ``hook``."""
+    return getattr(type(cls), hook) is not getattr(SchedulingClass, hook)
 
 
 class KernelSim:
@@ -252,8 +304,13 @@ class KernelSim:
     Parameters
     ----------
     assignment:
-        Output of a (semi-)partitioning algorithm.  Entry budgets are taken
-        as the *actual* execution demand (worst-case jobs).
+        Output of a (semi-)partitioning algorithm.  Each job's demand is
+        its task's raw WCET when the assignment records one
+        (:attr:`~repro.model.assignment.Assignment.raw_wcet`, filled in
+        by :func:`~repro.experiments.algorithms.build_assignment`), so an
+        overhead-aware assignment is charged its overheads once, as
+        kernel work; otherwise the task's full entry budgets
+        (worst-case jobs).
     overheads:
         The :class:`~repro.overhead.model.OverheadModel` to inject.
     duration:
@@ -265,11 +322,11 @@ class KernelSim:
         Optional per-task first-release offsets (default: synchronous at 0,
         the critical instant).
     execution_times:
-        Optional per-task *actual* execution demand per job.  Defaults to
-        the full budget (worst-case jobs).  Use this to simulate an
-        overhead-aware assignment (whose entry budgets include analysis
-        inflation) with the raw workload: a job that finishes early inside
-        a body stage completes there without migrating further.
+        Optional per-task *actual* execution demand per job, overriding
+        the default above.  A job that finishes early inside a body stage
+        completes there without migrating further.  Under per-core
+        frequencies every demand keeps its fraction of the dilated
+        budgets.
     policy:
         Per-core scheduling policy: ``"fp"`` (fixed local priorities, the
         paper's scheduler) or ``"edf"`` (earliest local deadline first;
@@ -289,7 +346,7 @@ class KernelSim:
     tick_ns:
         If positive, the kernel is *tick-driven*: release processing is
         deferred to the next multiple of ``tick_ns`` (the paper's Linux
-    	used high-resolution timers = tick 0; classic kernels used 1-4 ms
+        used high-resolution timers = tick 0; classic kernels used 1-4 ms
         ticks).  Deadlines stay anchored at the nominal arrival, so the
         tick delay eats into each job's slack — analyse with
         ``core_schedulable(..., tick_ns=...)``.
@@ -423,10 +480,20 @@ class KernelSim:
             self.power.active_mw(f) for f in self.frequencies
         ]
         self._idle_mw = self.power.idle_mw
+        for core, model, active_mw in zip(
+            self.cores, self._models, self._active_mw
+        ):
+            core.bind(self, model, active_mw)
         self._metrics = _metrics_active(metrics)
         self.rt_tasks = build_runtime_tasks(assignment, metrics=self._metrics)
         self.offsets = release_offsets or {}
-        self.execution_times = execution_times or {}
+        # Per-task job demand: the explicit map, else the task's raw
+        # (pre-inflation) WCET the assignment records, else the full
+        # stage budgets.
+        self.execution_times = {
+            **assignment.raw_wcet,
+            **(execution_times or {}),
+        }
         if policy not in ("fp", "edf"):
             raise ValueError(f"unknown policy {policy!r}; use 'fp' or 'edf'")
         self.policy = policy
@@ -471,8 +538,9 @@ class KernelSim:
             self.rt_tasks = self.rt_tasks + fair_rts
         if not self._unit_freq:
             # Dilate the runtime plan to the per-core clocks: stage
-            # budgets stretch by 1/f on their core, and explicit actual
-            # demands keep their *fraction* of the (now dilated) budget.
+            # budgets stretch by 1/f on their core, and explicit or raw-
+            # WCET demands keep their *fraction* of the (now dilated)
+            # budget.
             exec_times = dict(self.execution_times)
             dilated: List[RTTask] = []
             for rt in self.rt_tasks:
@@ -623,9 +691,18 @@ class KernelSim:
         # metrics layer above may have wrapped them.
         for cls in self._classes:
             cls.bind(self)
-        self._current_jobs: Dict[str, Optional[Job]] = {
-            rt.name: None for rt in self.rt_tasks
-        }
+        # Hooks a class leaves as the base no-op are never called.
+        self._tick_classes = [
+            cls for cls in self._classes if _overrides(cls, "on_tick")
+        ]
+        self._hook_executed = any(
+            _overrides(cls, "on_executed") for cls in self._classes
+        )
+        self._hook_dispatch = any(
+            _overrides(cls, "on_dispatch") for cls in self._classes
+        )
+        self._hook_after_sched = _overrides(self.sched_class, "after_sched")
+        self._releases = [self._release_template(rt) for rt in self.rt_tasks]
         self._sleep_nodes: Dict[str, object] = {}
         self._job_seq = 0
         self._finished = False
@@ -643,9 +720,8 @@ class KernelSim:
             # leak an earlier run's totals into this run's op counts.
             for stats in self._queue_stats.values():
                 stats.reset()
-        for rt in self.rt_tasks:
-            offset = self.offsets.get(rt.name, 0)
-            self._schedule_release(rt, offset)
+        for release in self._releases:
+            self._schedule_release(release, self.offsets.get(release.name, 0))
         self.queue.run_until(self.duration)
         self._finalize()
         if self._metrics is not None:
@@ -697,70 +773,92 @@ class KernelSim:
     # Release handling (timer path)
     # ------------------------------------------------------------------
 
-    def _work_of(self, rt: RTTask, t: int) -> Tuple[int, int]:
+    def _release_template(self, rt: RTTask) -> _Release:
+        """Pre-build what every release of ``rt`` reads."""
+        cls = self._class_of_task[rt.name]
+        release = _Release()
+        release.rt = rt
+        release.name = rt.name
+        release.cls = cls
+        release.stats = self.task_stats[rt.name]
+        release.demand = self.execution_times.get(rt.name, rt.total_budget)
+        release.nominal_work = max(1, min(release.demand, rt.total_budget))
+        release.plans = _overrides(cls, "plan_stages")
+        # Default placement: the kernel of the first stage's core.
+        release.core = (
+            None
+            if release.plans or _overrides(cls, "release_core")
+            else self.cores[rt.stages[0].core]
+        )
+        release.home = self.cores[rt.home_core]
+        release.label = f"rls:{rt.name}" if self.record_trace else "rls"
+        release.nominal = 0
+        release.fire = partial(self._on_release, release)
+        release.job = None
+        return release
+
+    def _work_of(self, release: _Release, t: int) -> Tuple[int, int]:
         """(actual, nominal) execution demand of the job released at ``t``.
 
         ``actual`` exceeds ``nominal`` only when the fault layer injects
         an execution overrun.
         """
-        total_budget = rt.total_budget
-        requested = self.execution_times.get(rt.task.name, total_budget)
         if self.execution_variation > 0.0:
             factor = self._rng.uniform(1.0 - self.execution_variation, 1.0)
-            requested = int(round(requested * factor))
-        nominal = max(1, min(requested, total_budget))
+            requested = int(round(release.demand * factor))
+            nominal = max(1, min(requested, release.rt.total_budget))
+        else:
+            nominal = release.nominal_work
         if self._injector is not None:
             actual = self._injector.draw_work(
-                rt.task.name, nominal, t, rt.home_core
+                release.name, nominal, t, release.rt.home_core
             )
         else:
             actual = nominal
         return actual, nominal
 
-    def _schedule_release(self, rt: RTTask, nominal: int) -> None:
-        """Arm the release timer: at the nominal arrival — possibly
-        pushed back by injected release jitter — or, in a tick-driven
-        kernel, at the next tick boundary after that."""
+    def _schedule_release(self, release: _Release, nominal: int) -> None:
+        """Arm the task's release timer: at the nominal arrival —
+        possibly pushed back by injected release jitter — or, in a
+        tick-driven kernel, at the next tick boundary after that."""
         fire = nominal
         jitter = 0
         if self._injector is not None:
-            jitter = self._injector.draw_release_jitter(rt.name)
+            jitter = self._injector.draw_release_jitter(release.name)
             fire += jitter
         if self.tick_ns > 0:
             fire = -(-fire // self.tick_ns) * self.tick_ns
         if fire < self.duration:
             if jitter > 0:
                 self._injector.record_jitter(
-                    nominal, rt.name, rt.home_core, jitter
+                    nominal, release.name, release.rt.home_core, jitter
                 )
+            release.nominal = nominal
             self.queue.schedule_fast(
-                fire,
-                lambda t, rt=rt, nominal=nominal: self._on_release(
-                    rt, t, nominal
-                ),
-                priority=_RELEASE_PRIORITY,
+                fire, release.fire, priority=_RELEASE_PRIORITY
             )
 
-    def _on_release(self, rt: RTTask, t: int, nominal: Optional[int] = None) -> None:
-        if nominal is None:
-            nominal = t
-        for cls in self._classes:
+    def _on_release(self, release: _Release, t: int) -> None:
+        nominal = release.nominal
+        for cls in self._tick_classes:
             cls.on_tick(t)
+        rt = release.rt
+        name = release.name
         # Schedule the next release first (periodic, or sporadic with a
         # random extra delay beyond the minimum inter-arrival).
         next_release = nominal + rt.task.period
         if self.sporadic_jitter > 0:
             next_release += self._rng.randint(0, self.sporadic_jitter)
-        self._schedule_release(rt, next_release)
-        previous = self._current_jobs[rt.name]
-        if previous is not None and not previous.completed:
+        self._schedule_release(release, next_release)
+        previous = release.job
+        if previous is not None and previous.finish_time is None:
             # Overrun: previous job still active at the next release.
             # Best-effort classes don't record the miss — the unfinished
             # job simply loses its successor's activation.
             if previous.cls.hard_deadlines:
                 self.misses.append(
                     DeadlineMiss(
-                        task=rt.name,
+                        task=name,
                         job_seq=previous.seq,
                         release=previous.release,
                         abs_deadline=previous.abs_deadline,
@@ -768,46 +866,37 @@ class KernelSim:
                         kind="overrun",
                     )
                 )
-                self._log_event(t, "overrun", rt.name, rt.home_core)
+                self._log_event(t, "overrun", name, rt.home_core)
             return  # the new release is skipped (job dropped)
         self._job_seq += 1
-        work, nominal_work = self._work_of(rt, t)
-        task_class = self._class_of_task[rt.name]
+        seq = self._job_seq
+        work, nominal_work = self._work_of(release, t)
+        task_class = release.cls
         job = Job(
-            rt=rt,
-            release=nominal,
-            abs_deadline=nominal + rt.task.deadline,
-            seq=self._job_seq,
-            work=work,
-            nominal_work=nominal_work,
-            stages=task_class.plan_stages(rt, self._job_seq),
-            cls=task_class,
+            rt,
+            nominal,
+            nominal + rt.task.deadline,
+            seq,
+            work,
+            nominal_work,
+            task_class.plan_stages(rt, seq) if release.plans else None,
+            task_class,
         )
-        name = rt.task.name
-        self._current_jobs[name] = job
+        release.job = job
         self.releases += 1
-        self.task_stats[name].jobs_released += 1
+        release.stats.jobs_released += 1
         if self.record_trace:
             self._log_event(t, "release", name, rt.home_core)
         # Sleep-queue bookkeeping: the timer removes the task from the home
         # core's sleep queue before release() inserts it into the ready queue.
-        home = self.cores[rt.home_core]
         node = self._sleep_nodes.pop(name, None)
         if node is not None:
-            home.sleep.remove(node)
-        core = task_class.release_core(job, t)
-        self._kernel_enqueue(
-            core,
-            _Op(
-                kind="release",
-                duration=self._models[core.index].rls,
-                effect=lambda t2, job=job, core=core: self._do_release(
-                    core, job, t2
-                ),
-                label=f"rls:{name}" if self.record_trace else "rls",
-            ),
-            t,
-        )
+            release.home.sleep.remove(node)
+        core = release.core
+        if core is None:
+            core = task_class.release_core(job, t)
+        op = ("release", core.rls, self._do_release, job, release.label)
+        self._kernel_enqueue(core, op, t)
 
     def _do_release(self, core: _Core, job: Job, t: int) -> None:
         self._ready_insert(core, job, t)
@@ -816,13 +905,28 @@ class KernelSim:
     # ------------------------------------------------------------------
     # Kernel-execution machinery
     # ------------------------------------------------------------------
+    #
+    # A kernel episode is the run of ops a core executes between leaving
+    # and resuming application work.  Each op ends at its own instant,
+    # but it needs an event of its own only when something else could
+    # happen first: where an op is started from the tail of an event
+    # handler (nothing left to run after it), its end lies within the
+    # horizon, and the next live event is *strictly* later than that
+    # end, the end is exactly the event the queue would pop next — so
+    # ``_run_ops`` runs it in place, chaining op after op in one event.
 
-    def _kernel_enqueue(self, core: _Core, op: _Op, t: int) -> None:
+    def _kernel_enqueue(
+        self, core: _Core, op: _Op, t: int, tail: bool = True
+    ) -> None:
+        """Queue ``op`` on ``core``, entering the kernel if it is not
+        there yet.  ``tail`` says the caller's handler does nothing after
+        this call, so the episode may chain in the current event; a call
+        from inside another op's effect passes False."""
         core.op_queue.append(op)
         if not core.in_kernel:
             self._suspend_running(core, t)
             core.in_kernel = True
-            self._start_next_op(core, t)
+            self._run_ops(core, t, chain=tail)
 
     def _suspend_running(self, core: _Core, t: int) -> None:
         """Stop the running job's progress (kernel takes the CPU)."""
@@ -834,9 +938,10 @@ class KernelSim:
         core.completion_event = None
         if executed > 0:
             job.account(executed)
-            job.cls.on_executed(core, job, executed)
+            if self._hook_executed:
+                job.cls.on_executed(core, job, executed)
             core.busy_ns += executed
-            core.busy_pj += executed * self._active_mw[core.index]
+            core.busy_pj += executed * core.active_mw
             if self.record_trace:
                 self._record(
                     core.index, core.dispatched_at, t, job.name, "exec"
@@ -847,55 +952,78 @@ class KernelSim:
             core.running = None
             self._enqueue_chunk_end(core, job, t, front=True)
 
-    def _start_next_op(self, core: _Core, t: int) -> None:
-        op = core.op_queue.popleft()
-        if op.kind == "sched":
-            op.duration = self._sched_duration(core)
-        duration = op.duration
-        if duration > 0 and self._injector is not None:
-            duration = self._injector.spike(op.kind, duration, t, core.index)
-        if self._metrics is not None:
-            # Charged (post-spike) cost: what the core actually lost.
-            self._op_counts[op.kind] = self._op_counts.get(op.kind, 0) + 1
-            self._op_sim_ns[op.kind] = (
-                self._op_sim_ns.get(op.kind, 0) + duration
-            )
-        end = t + duration
-        if duration > 0:
-            core.overhead_ns += duration
-            core.overhead_pj += duration * self._active_mw[core.index]
-            if self.record_trace:
-                self._record(core.index, t, end, op.label, "overhead")
-        self.queue.schedule_fast(
-            end,
-            lambda t2, core=core, op=op: self._finish_op(core, op, t2),
-            priority=_OP_PRIORITY,
-        )
+    def _run_ops(
+        self,
+        core: _Core,
+        t: int,
+        finishing: bool = False,
+        chain: bool = True,
+    ) -> None:
+        """Drive ``core``'s kernel episode from ``t``.
 
-    def _finish_op(self, core: _Core, op: _Op, t: int) -> None:
-        if self._profile_enabled:
-            start = _time.perf_counter_ns()
-            op.effect(t)
-            elapsed = _time.perf_counter_ns() - start
-            bucket = _PROFILE_BUCKET.get(op.kind, op.kind)
-            count, total = self.profile.get(bucket, (0, 0))
-            self.profile[bucket] = (count + 1, total + elapsed)
-        else:
-            op.effect(t)
-        if core.op_queue:
-            self._start_next_op(core, t)
-        elif core.needs_sched:
-            core.needs_sched = False
-            sched_op = _Op(
-                kind="sched",
-                duration=0,  # computed in _start_next_op
-                effect=lambda t2, core=core: self._do_sched(core, t2),
-                label="sch",
-            )
-            core.op_queue.append(sched_op)
-            self._start_next_op(core, t)
-        else:
-            self._exit_kernel(core, t)
+        ``finishing`` (the op-end event, ``core.op_done``) first applies
+        the in-flight op's effect.  Then, while ops are queued: start the
+        next one (charge its duration to the core); if ``chain`` and the
+        chain rule above proves its end is the next event, advance the
+        clock and apply it in place; otherwise push its end event and
+        stop.  The episode ends at kernel exit.
+        """
+        queue = self.queue
+        horizon = self.duration
+        injector = self._injector
+        metrics = self._metrics
+        profiling = self._profile_enabled
+        trace = self.record_trace
+        ops = core.op_queue
+        while True:
+            if finishing:
+                kind, _duration, handler, job, _label = core.op
+                if profiling:
+                    start = _time.perf_counter_ns()
+                    handler(core, job, t)
+                    elapsed = _time.perf_counter_ns() - start
+                    bucket = _PROFILE_BUCKET.get(kind, kind)
+                    count, total = self.profile.get(bucket, (0, 0))
+                    self.profile[bucket] = (count + 1, total + elapsed)
+                else:
+                    handler(core, job, t)
+                if not ops:
+                    if not core.needs_sched:
+                        self._exit_kernel(core, t)
+                        return
+                    core.needs_sched = False
+                    ops.append(core.sched_op)
+            op = ops.popleft()
+            core.op = op
+            kind = op[0]
+            if kind == "sched":
+                if core.free_dispatch:
+                    duration = 0
+                elif self._would_preempt(core):
+                    duration = core.sch_preempt
+                else:
+                    duration = core.sch_plain
+            else:
+                duration = op[1]
+            if duration > 0:
+                if injector is not None:
+                    duration = injector.spike(kind, duration, t, core.index)
+                core.overhead_ns += duration
+                core.overhead_pj += duration * core.active_mw
+                if trace:
+                    self._record(
+                        core.index, t, t + duration, op[4], "overhead"
+                    )
+            if metrics is not None:
+                # Charged (post-spike) cost: what the core actually lost.
+                self._op_counts[kind] = self._op_counts.get(kind, 0) + 1
+                self._op_sim_ns[kind] = self._op_sim_ns.get(kind, 0) + duration
+            end = t + duration
+            if not chain or end > horizon or not queue.idle_through(end):
+                queue.schedule_fast(end, core.op_done, _OP_PRIORITY)
+                return
+            queue.now = t = end
+            finishing = True
 
     def _exit_kernel(self, core: _Core, t: int) -> None:
         core.in_kernel = False
@@ -903,9 +1031,8 @@ class KernelSim:
         if job is None:
             return
         core.dispatched_at = t
-        end = t + self._chunk_length(job)
         core.completion_event = self.queue.schedule(
-            end, lambda t2, core=core: self._on_chunk_done(core, t2)
+            t + self._chunk_length(job), core.chunk_done
         )
 
     # ------------------------------------------------------------------
@@ -989,14 +1116,7 @@ class KernelSim:
                 running_key = (min(running_key[0], ceiling), running_key[1])
         return min_key < running_key
 
-    def _sched_duration(self, core: _Core) -> int:
-        if core.free_dispatch:
-            return 0
-        return self._models[core.index].sch(
-            preemption=self._would_preempt(core)
-        )
-
-    def _do_sched(self, core: _Core, t: int) -> None:
+    def _do_sched(self, core: _Core, _job: None, t: int) -> None:
         free = core.free_dispatch
         core.free_dispatch = False
         sched_class = self.sched_class
@@ -1020,22 +1140,18 @@ class KernelSim:
                     )
             else:
                 # Current job resumes at kernel exit.
-                sched_class.after_sched(core, t)
+                if self._hook_after_sched:
+                    sched_class.after_sched(core, t)
                 return
         job = sched_class.pick_next(core)
-        if job is None:
+        if job is not None:
+            duration = 0 if free else core.cnt1
+            label = f"cnt1:{job.rt.name}" if self.record_trace else "cnt1"
+            core.op_queue.append(
+                ("cnt_in", duration, self._do_dispatch, job, label)
+            )
+        if self._hook_after_sched:
             sched_class.after_sched(core, t)
-            return
-        cnt_op = _Op(
-            kind="cnt_in",
-            duration=0 if free else self._models[core.index].cnt1,
-            effect=lambda t2, core=core, job=job: self._do_dispatch(
-                core, job, t2
-            ),
-            label=f"cnt1:{job.rt.task.name}" if self.record_trace else "cnt1",
-        )
-        core.op_queue.append(cnt_op)
-        sched_class.after_sched(core, t)
 
     def request_sched(self, core: _Core, t: int) -> None:
         """Ask ``core`` to run a scheduling pass (class-layer hook).
@@ -1047,23 +1163,15 @@ class KernelSim:
         if core.in_kernel:
             core.needs_sched = True
             return
-        self._kernel_enqueue(
-            core,
-            _Op(
-                kind="sched",
-                duration=0,  # computed in _start_next_op
-                effect=lambda t2, core=core: self._do_sched(core, t2),
-                label="sch",
-            ),
-            t,
-        )
+        self._kernel_enqueue(core, core.sched_op, t, tail=False)
 
     def _do_dispatch(self, core: _Core, job: Job, t: int) -> None:
         core.running = job
         self.context_switches += 1
         if self.record_trace:
             self._log_event(t, "dispatch", job.rt.task.name, core.index)
-        job.cls.on_dispatch(core, job, t)
+        if self._hook_dispatch:
+            job.cls.on_dispatch(core, job, t)
         # The class hooks above read ``displaced`` (the global classes
         # reclassify a cross-core resume as a migration); the mechanism
         # clears it once the dispatch is done.
@@ -1079,9 +1187,10 @@ class KernelSim:
         executed = t - core.dispatched_at
         if executed > 0:
             job.account(executed)
-            job.cls.on_executed(core, job, executed)
+            if self._hook_executed:
+                job.cls.on_executed(core, job, executed)
             core.busy_ns += executed
-            core.busy_pj += executed * self._active_mw[core.index]
+            core.busy_pj += executed * core.active_mw
             if self.record_trace:
                 self._record(
                     core.index, core.dispatched_at, t, job.name, "exec"
@@ -1097,8 +1206,7 @@ class KernelSim:
         core.running = None
         core.in_kernel = True
         self._enqueue_chunk_end(core, job, t, front=False)
-        if core.op_queue:
-            self._start_next_op(core, t)
+        self._run_ops(core, t)
 
     def _on_section_edge(self, core: _Core, job: Job, t: int) -> None:
         """The running job crossed a critical-section boundary."""
@@ -1106,22 +1214,13 @@ class KernelSim:
             # Unlock: the kernel runs a scheduling pass — a deferred
             # higher-priority job may now preempt.
             core.in_kernel = True
-            core.needs_sched = True
-            sched_op = _Op(
-                kind="sched",
-                duration=0,  # computed in _start_next_op
-                effect=lambda t2, core=core: self._do_sched(core, t2),
-                label="sch",
-            )
-            core.needs_sched = False
-            core.op_queue.append(sched_op)
-            self._start_next_op(core, t)
+            core.op_queue.append(core.sched_op)
+            self._run_ops(core, t)
             return
         # Lock acquisition (or unlock with empty queue): keep running.
         core.dispatched_at = t
-        end = t + self._chunk_length(job)
         core.completion_event = self.queue.schedule(
-            end, lambda t2, core=core: self._on_chunk_done(core, t2)
+            t + self._chunk_length(job), core.chunk_done
         )
 
     # ------------------------------------------------------------------
@@ -1167,14 +1266,12 @@ class KernelSim:
                     f"nominal={job.nominal_work} dropped={job.work_left}",
                 )
             self._log_event(t, "abort", name, core.index)
-            model = self._models[core.index]
-            op = _Op(
-                kind="finish",
-                duration=model.sch(False) + model.cnt2_finish,
-                effect=lambda t2, core=core, job=job: self._do_abort_cleanup(
-                    core, job, t2
-                ),
-                label=f"abrt:{name}" if self.record_trace else "abrt",
+            op = (
+                "finish",
+                core.finish_cost,
+                self._do_abort_cleanup,
+                job,
+                f"abrt:{name}" if self.record_trace else "abrt",
             )
         else:  # "demote"
             job.demoted = True
@@ -1187,16 +1284,15 @@ class KernelSim:
             # The kernel re-queues the job at background priority (one
             # ready-queue insert); the scheduling pass that follows via
             # needs_sched is charged separately, as usual.
-            op = _Op(
-                kind="demote",
-                duration=self._models[core.index].ready_op_ns,
-                effect=lambda t2, core=core, job=job: self._do_demote(
-                    core, job, t2
-                ),
-                label=f"dmt:{name}" if self.record_trace else "dmt",
+            op = (
+                "demote",
+                core.ready_op,
+                self._do_demote,
+                job,
+                f"dmt:{name}" if self.record_trace else "dmt",
             )
         core.op_queue.append(op)
-        self._start_next_op(core, t)
+        self._run_ops(core, t)
 
     def _do_abort_cleanup(self, core: _Core, job: Job, t: int) -> None:
         rt = job.rt
@@ -1223,18 +1319,12 @@ class KernelSim:
             # that finishes its actual work inside a *body* stage completes
             # here too (the paper's cnt_swth case 3).
             job.finish_time = t
-            model = self._models[core.index]
-            op = _Op(
-                kind="finish",
-                duration=model.sch(False) + model.cnt2_finish,
-                effect=lambda t2, core=core, job=job, done=t: self._do_finish(
-                    core, job, t2, completed_at=done
-                ),
-                label=(
-                    f"cnt2:{job.rt.task.name}"
-                    if self.record_trace
-                    else "cnt2"
-                ),
+            op = (
+                "finish",
+                core.finish_cost,
+                self._do_finish,
+                job,
+                f"cnt2:{job.rt.task.name}" if self.record_trace else "cnt2",
             )
         else:
             action = job.cls.on_budget_exhausted(core, job, t)
@@ -1243,26 +1333,22 @@ class KernelSim:
                     f"scheduling class {job.cls.name!r} returned unknown "
                     f"budget-exhaustion action {action!r}"
                 )
-            model = self._models[core.index]
-            op = _Op(
-                kind="migrate_out",
-                duration=model.sch(False) + model.cnt2_migrate,
-                effect=lambda t2, core=core, job=job: self._do_migrate_out(
-                    core, job, t2
-                ),
-                label=(
-                    f"mig:{job.rt.task.name}" if self.record_trace else "mig"
-                ),
+            op = (
+                "migrate_out",
+                core.migrate_cost,
+                self._do_migrate_out,
+                job,
+                f"mig:{job.rt.task.name}" if self.record_trace else "mig",
             )
         if front:
             core.op_queue.appendleft(op)
         else:
             core.op_queue.append(op)
 
-    def _do_finish(
-        self, core: _Core, job: Job, t: int, completed_at: int
-    ) -> None:
-        job.finish_time = completed_at
+    def _do_finish(self, core: _Core, job: Job, t: int) -> None:
+        # The response ended when the job's work did (``finish_time``,
+        # set as the op was queued), not at the end of this bookkeeping.
+        completed_at = job.finish_time
         rt = job.rt
         name = rt.task.name
         stats = self.task_stats[name]
@@ -1343,26 +1429,25 @@ class KernelSim:
         if self.record_trace:
             self._log_event(t, "migrate", name, stage.core)
         destination = self.cores[stage.core]
-        arrival = _Op(
-            kind="migrate_in",
-            duration=0,  # remote insert already paid in cnt2_migrate
-            effect=lambda t2, dest=destination, job=job: self._do_migrate_in(
-                dest, job, t2
-            ),
-            label=f"migin:{name}" if self.record_trace else "migin",
+        # Zero duration: the remote insert was paid in cnt2_migrate.
+        arrival = (
+            "migrate_in",
+            0,
+            self._do_migrate_in,
+            job,
+            f"migin:{name}" if self.record_trace else "migin",
         )
         if delay > 0:
             # Late migration: the subtask reaches the destination core's
             # kernel only after the injected in-flight delay.
             self.queue.schedule_fast(
                 t + delay,
-                lambda t2, dest=destination, op=arrival: self._kernel_enqueue(
-                    dest, op, t2
-                ),
+                partial(self._kernel_enqueue, destination, arrival),
                 priority=_RELEASE_PRIORITY,
             )
         else:
-            self._kernel_enqueue(destination, arrival, t)
+            # Not in tail position: this core's own effect continues.
+            self._kernel_enqueue(destination, arrival, t, tail=False)
         core.needs_sched = True
         core.free_dispatch = True  # context load was part of cnt2
 
@@ -1516,7 +1601,8 @@ class KernelSim:
             idle_mw=self._idle_mw,
             cores=tuple(rows),
         )
-        for job in self._current_jobs.values():
+        for release in self._releases:
+            job = release.job
             if (
                 job is not None
                 and not job.completed

@@ -108,7 +108,16 @@ class CoreAssignment:
 
 
 class Assignment:
-    """A complete mapping of a task set onto ``m`` cores."""
+    """A complete mapping of a task set onto ``m`` cores.
+
+    ``raw_wcet`` maps a task name to its WCET *before* overhead
+    inflation: the execution demand of its jobs.  An overhead-aware
+    analysis places inflated tasks (entry budgets reserve room for the
+    kernel's own work), while the simulator injects that kernel work
+    explicitly, so it runs each job for the raw WCET.
+    :func:`repro.experiments.algorithms.build_assignment` fills it in; a
+    task missing from it demands its full entry budgets.
+    """
 
     def __init__(self, n_cores: int) -> None:
         if n_cores <= 0:
@@ -117,6 +126,7 @@ class Assignment:
             CoreAssignment(core=i) for i in range(n_cores)
         ]
         self.split_tasks: Dict[str, SplitTask] = {}
+        self.raw_wcet: Dict[str, int] = {}
 
     @property
     def n_cores(self) -> int:

@@ -91,7 +91,9 @@ def load_taskset(path: Union[str, Path]) -> TaskSet:
 # Schema: ``{"n_cores": m, "entries": [ {...}, ... ]}`` with one record per
 # entry; split tasks are reconstructed from their subtask records.  Times
 # stay in nanoseconds here (assignments are machine artefacts, not
-# hand-written files).
+# hand-written files).  A task record carries ``raw_wcet_ns`` when the
+# assignment knows the task's WCET before overhead inflation (the
+# execution demand the simulator gives its jobs).
 
 
 def assignment_to_dict(assignment) -> dict:
@@ -119,6 +121,9 @@ def assignment_to_dict(assignment) -> dict:
         if entry.subtask is not None:
             record["subtask_index"] = entry.subtask.index
             record["total_subtasks"] = entry.subtask.total_subtasks
+        raw = assignment.raw_wcet.get(entry.task.name)
+        if raw is not None:
+            record["task"]["raw_wcet_ns"] = raw
         entries.append(record)
     return {"n_cores": assignment.n_cores, "entries": entries}
 
@@ -143,6 +148,8 @@ def assignment_from_dict(data: dict):
                 wss=spec.get("wss", 64 * 1024),
             )
             tasks[spec["name"]] = task
+            if "raw_wcet_ns" in spec:
+                assignment.raw_wcet[task.name] = spec["raw_wcet_ns"]
         subtask = None
         if "subtask_index" in record:
             subtask = Subtask(

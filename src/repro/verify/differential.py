@@ -644,6 +644,84 @@ def _accepted_assignment(algorithm: str, seed: int, utilization: float = 1.2):
     return None, None
 
 
+#: Variants of the same-instant tie family (see :func:`tie_case`).
+TIE_VARIANTS = ("zero-overhead", "op-end-at-horizon", "op-end-past-horizon")
+
+
+def tie_case(seed: int):
+    """One member of the same-instant tie family of ``legacy-vs-plugin``.
+
+    The plugin simulator runs a kernel op's end inside the current event
+    when nothing else can fire first; the frozen legacy simulator gives
+    every op its own event, so it is the independent oracle for that
+    chain rule exactly where ties decide the order:
+
+    * harmonic periods on 2 cores (FP-TS or C=D), so releases coincide
+      with each other and with op ends, on the same core and across
+      cores;
+    * a tick (``tick_ns > 0``) that does not divide the periods, so
+      deferred releases pile up on shared tick boundaries;
+    * by variant (``seed % 3``, see :data:`TIE_VARIANTS`): zero overheads
+      (every op zero-length, each end at the instant it starts) over two
+      hyperperiods; or paper overheads with the horizon at the end of a
+      kernel op picked from a legacy probe run (an op end exactly at the
+      horizon), or one nanosecond before it (an op end past it).
+
+    Returns ``(variant, assignment, model, duration, kwargs)``, or None
+    when no accepted task set turned up.
+    """
+    from repro.experiments.algorithms import build_assignment
+    from repro.kernel.legacy import LegacyKernelSim
+    from repro.model.task import Task
+    from repro.model.taskset import TaskSet
+
+    rng = random.Random(seed)
+    variant = TIE_VARIANTS[seed % len(TIE_VARIANTS)]
+    policy = "fp" if seed % 2 == 0 else "edf"
+    algorithm = "FP-TS" if policy == "fp" else "C=D"
+    base = rng.choice((1, 2, 4)) * MS
+    assignment = None
+    for _attempt in range(20):
+        n_tasks = rng.randint(3, 6)
+        shares = [rng.random() for _ in range(n_tasks)]
+        total = rng.uniform(1.0, 1.7)
+        tasks = []
+        for index, share in enumerate(shares):
+            period = base << rng.randint(0, 3)
+            wcet = int(period * total * share / sum(shares))
+            wcet = max(1, min(period, wcet))
+            tasks.append(Task(f"h{index}", wcet=wcet, period=period))
+        taskset = TaskSet(tasks).assign_rate_monotonic()
+        assignment = build_assignment(
+            algorithm, taskset, 2, OverheadModel.zero()
+        )
+        if assignment is not None:
+            break
+    if assignment is None:
+        return None
+    hyperperiod = max(task.period for task in taskset)
+    kwargs = dict(
+        record_trace=True,
+        policy=policy,
+        seed=seed,
+        tick_ns=base * rng.choice((3, 5, 7)) // 4,
+    )
+    if variant == "zero-overhead":
+        model = OverheadModel.zero()
+        return variant, assignment, model, 2 * hyperperiod, kwargs
+    model = OverheadModel.paper_core_i7(2)
+    probe = LegacyKernelSim(assignment, model, 2 * hyperperiod, **kwargs).run()
+    ends = sorted(
+        {end for _core, start, end, _label, kind in probe.trace
+         if kind == "overhead" and hyperperiod // 2 <= end < 2 * hyperperiod}
+    )
+    if not ends:
+        return None
+    end = rng.choice(ends)
+    duration = end if variant == "op-end-at-horizon" else end - 1
+    return variant, assignment, model, duration, kwargs
+
+
 def legacy_vs_plugin(trials: int = 20, seed: int = 0) -> List[str]:
     """Frozen pre-plugin simulator vs. the scheduling-class refactor.
 
@@ -653,7 +731,10 @@ def legacy_vs_plugin(trials: int = 20, seed: int = 0) -> List[str]:
     matrix (no faults / overrun+jitter / everything on) and all three
     overrun policies.  This is the refactor's non-regression anchor: any
     reordering of queue ops, RNG draws, or same-instant event handling
-    shows up as a first-diff here.
+    shows up as a first-diff here.  Every trial also runs one member of
+    the same-instant tie family (:func:`tie_case`), which pins the
+    plugin's in-event op chaining against the legacy one-event-per-op
+    dispatch.
     """
     from repro.faults.plan import OVERRUN_POLICIES
     from repro.kernel.legacy import LegacyKernelSim
@@ -703,6 +784,25 @@ def legacy_vs_plugin(trials: int = 20, seed: int = 0) -> List[str]:
             diffs.append(
                 f"trial {trial} ({policy}, faults={plan_kind}, "
                 f"overrun={overrun_policy}): " + "; ".join(detail[:3])
+            )
+        case = tie_case(run_seed)
+        if case is None:
+            diffs.append(f"trial {trial}: no tie case from seed {run_seed}")
+            continue
+        variant, assignment, model, duration, kwargs = case
+        detail = _diff_canonical(
+            result_to_canonical(
+                LegacyKernelSim(assignment, model, duration, **kwargs).run()
+            ),
+            result_to_canonical(
+                KernelSim(assignment, model, duration, **kwargs).run()
+            ),
+            "legacy",
+            "plugin",
+        )
+        if detail:
+            diffs.append(
+                f"trial {trial} (ties, {variant}): " + "; ".join(detail[:3])
             )
     return diffs
 

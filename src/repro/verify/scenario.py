@@ -111,7 +111,8 @@ class Scenario:
 
     @property
     def is_deterministic_demand(self) -> bool:
-        """True when every job's nominal demand is its full budget."""
+        """True when every job's nominal demand is fixed per task (its
+        raw WCET, see :func:`_expected_work`)."""
         return self.execution_variation == 0.0
 
     # ------------------------------------------------------------------
@@ -171,11 +172,17 @@ class ScenarioReport:
 
 
 def _expected_work(assignment) -> Dict[str, int]:
-    """Per-task nominal demand (sum of stage budgets) for the ledger."""
+    """Per-task nominal demand for the ledger: the task's raw WCET the
+    assignment records (capped at its stage budgets), else the summed
+    stage budgets."""
     from repro.kernel.runtime import build_runtime_tasks
 
     return {
-        rt.name: rt.total_budget for rt in build_runtime_tasks(assignment)
+        rt.name: min(
+            assignment.raw_wcet.get(rt.name, rt.total_budget),
+            rt.total_budget,
+        )
+        for rt in build_runtime_tasks(assignment)
     }
 
 
