@@ -5,10 +5,17 @@ the overhead-aware schedulability analysis really do meet all deadlines
 when executed by the kernel scheduler with those overheads.  The bench
 runs the validation campaign (analysis -> simulate accepted assignment
 with injected overheads and raw WCETs -> count misses + check trace
-invariants) and requires zero misses.
+invariants) and requires zero misses.  Each assignment runs under the
+scheduling class it records, so the EDF side (C=D, P-EDF) is simulated
+under EDF dispatch.  PDMS is recorded as an expected failure: at these
+parameters one accepted set misses deadlines (an unsplit task's job
+overruns into its next release), while the same sets meet every
+deadline at zero overheads.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.experiments import validate_by_simulation
 
@@ -24,24 +31,37 @@ def _campaign(algorithm: str):
     )
 
 
-def test_validation_fpts(benchmark, save_result):
+def _run(benchmark, save_result, algorithm: str, exp_id: str):
     report = benchmark.pedantic(
-        lambda: _campaign("FP-TS"), rounds=1, iterations=1
+        lambda: _campaign(algorithm), rounds=1, iterations=1
     )
     body = report.as_table()
     if report.details:
         body += "\n" + "\n".join(report.details)
-    save_result("E6_validation_fpts", "analysis-vs-simulation (FP-TS)", body)
+    save_result(exp_id, f"analysis-vs-simulation ({algorithm})", body)
     assert report.sets_simulated > 0
     assert report.sound, report.details
 
 
+def test_validation_fpts(benchmark, save_result):
+    _run(benchmark, save_result, "FP-TS", "E6_validation_fpts")
+
+
 def test_validation_ffd(benchmark, save_result):
-    report = benchmark.pedantic(
-        lambda: _campaign("FFD"), rounds=1, iterations=1
-    )
-    body = report.as_table()
-    if report.details:
-        body += "\n" + "\n".join(report.details)
-    save_result("E6_validation_ffd", "analysis-vs-simulation (FFD)", body)
-    assert report.sound, report.details
+    _run(benchmark, save_result, "FFD", "E6_validation_ffd")
+
+
+def test_validation_cd(benchmark, save_result):
+    _run(benchmark, save_result, "C=D", "E6_validation_cd")
+
+
+def test_validation_pedf(benchmark, save_result):
+    _run(benchmark, save_result, "P-EDF", "E6_validation_pedf")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="PDMS: an accepted set misses deadlines under paper overheads",
+)
+def test_validation_pdms(benchmark, save_result):
+    _run(benchmark, save_result, "PDMS", "E6_validation_pdms")

@@ -5,8 +5,9 @@ Shows the dynamic-priority counterpart of the paper's comparison:
 
 1. a non-harmonic full-load core that RM cannot schedule but EDF can;
 2. the canonical 3-equal-tasks-on-2-cores workload solved by C=D
-   splitting, simulated under the kernel's EDF policy with per-stage
-   deadlines (the chunk's C=D deadline makes EDF serve it immediately);
+   splitting, simulated under the EDF scheduling class the assignment
+   records, with per-stage deadlines (the chunk's C=D deadline makes EDF
+   serve it immediately);
 3. a side-by-side acceptance sweep: FP-TS vs C=D vs P-EDF vs FFD.
 
 Run:  python examples/edf_cd_study.py
@@ -15,11 +16,11 @@ Run:  python examples/edf_cd_study.py
 from repro.analysis.edf import edf_schedulable
 from repro.analysis.rta import response_time
 from repro.experiments import AcceptanceConfig, run_acceptance
+from repro.experiments.algorithms import build_assignment
 from repro.experiments.plot import acceptance_plot
 from repro.kernel import KernelSim
 from repro.model import MS, SEC, Task, TaskSet
 from repro.overhead import OverheadModel
-from repro.semipart import CdSplitConfig, cd_split_partition
 from repro.trace import validate_trace
 
 
@@ -41,19 +42,12 @@ def cd_split_demo() -> None:
             Task("z", wcet=5500_000, period=10 * MS),
         ]
     ).assign_rate_monotonic()
-    # Overhead-aware analysis: inflate WCETs, locate migration charges.
-    from repro.overhead import inflate_taskset
-
+    # Overhead-aware analysis (inflated WCETs, located migration
+    # charges); the assignment records the edf class and the raw WCETs
+    # its jobs execute.
     overheads = OverheadModel.paper_core_i7(4)
-    analysed = inflate_taskset(taskset, overheads)
-    assignment = cd_split_partition(
-        analysed,
-        2,
-        CdSplitConfig.from_model(
-            overheads, cpmd_wss=max(t.wss for t in taskset)
-        ),
-    )
-    assert assignment is not None
+    assignment = build_assignment("C=D", taskset, 2, overheads)
+    assert assignment is not None and assignment.sched_class == "edf"
     print(assignment.describe())
     split = next(iter(assignment.split_tasks.values()))
     chunk = split.subtasks[0]
@@ -65,9 +59,7 @@ def cd_split_demo() -> None:
         assignment,
         overheads,
         duration=1 * SEC,
-        policy="edf",
         record_trace=True,
-        execution_times={t.name: t.wcet for t in taskset},
     ).run()
     print(
         f"1 s EDF simulation with overheads: misses={result.miss_count} "

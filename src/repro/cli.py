@@ -185,6 +185,10 @@ def _cmd_analyze(args) -> int:
         save_assignment(assignment, args.save_assignment)
         print(f"assignment saved to {args.save_assignment}")
     print(assignment.describe())
+    if assignment.sched_class != "fp":
+        print(f"\n{assignment.sched_class} scheduling class: no "
+              "fixed-priority response times to report")
+        return 0
     print("\nworst-case response times:")
     for core in assignment.cores:
         analysis = core_schedulable(core.entries)
@@ -201,22 +205,29 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.experiments.algorithms import ALGORITHMS
     from repro.kernel.sim import KernelSim
     from repro.model.time import MS
 
     _check_positive(args.duration_ms, "--duration-ms")
     if getattr(args, "assignment", None):
-        from repro.model.io import load_assignment
+        import json
 
+        from repro.experiments.algorithms import ALGORITHMS
+        from repro.model.io import assignment_from_dict
+
+        spec = ALGORITHMS[_check_algorithm(args.algorithm)]
         taskset = _load_tasks(args.tasks)
         try:
-            assignment = load_assignment(args.assignment)
+            with open(args.assignment, encoding="utf-8") as handle:
+                data = json.load(handle)
+            # A file saved without its class runs under --algorithm's.
+            data.setdefault("sched_class", spec.sched_class)
+            assignment = assignment_from_dict(data)
         except OSError as exc:
             raise SystemExit(
                 f"--assignment: cannot read {args.assignment!r}: {exc}"
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise SystemExit(f"--assignment {args.assignment!r}: {exc}")
         # A file saved without raw WCETs takes them from the task set.
         for task in taskset:
@@ -229,18 +240,6 @@ def _cmd_simulate(args) -> int:
     if assignment is None:
         print(f"{args.algorithm}: REJECTED; nothing to simulate")
         return 1
-    sched_class = getattr(args, "sched_class", "auto")
-    if sched_class == "auto":
-        sched_class = ALGORITHMS[args.algorithm].sched_class
-    if sched_class in ("global-edf", "global-rm") and not list(
-        assignment.entries()
-    ):
-        # The global acceptance tests return a placeholder partition (no
-        # entries — placement is a runtime decision); build the runnable
-        # shared-queue assignment from the task set instead.
-        from repro.kernel.global_sim import build_global_assignment
-
-        assignment = build_global_assignment(taskset, args.cores)
     plan = _load_fault_plan(getattr(args, "faults", None))
     frequencies = None
     power = None
@@ -261,7 +260,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         faults=plan,
         overrun_policy=args.overrun_policy,
-        sched_class=sched_class,
+        sched_class=getattr(args, "sched_class", None),
         frequencies=frequencies,
         power=power,
     )
@@ -1020,11 +1019,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--sched-class",
-        choices=["auto"] + sorted(SCHED_CLASSES),
-        default="auto",
-        help="scheduling-class plugin for the simulator; auto derives it "
-        "from the algorithm (EDF-side partitioners run under edf, the "
-        "global tests under a shared-queue class; default: auto)",
+        choices=sorted(SCHED_CLASSES),
+        help="override the scheduling class the assignment records "
+        "(default: the algorithm's own class: edf for the EDF-side "
+        "partitioners, a shared-queue class for the global tests)",
     )
     simulate.set_defaults(fn=_cmd_simulate)
 

@@ -31,7 +31,8 @@ from repro.overhead.model import OverheadModel
 #: v3: new WorkloadUnit kind (trace-driven scenario synthesis).
 #: v4: new CriteriaUnit kind (multi-criteria campaign axes).
 #: v5: AcceptanceUnit lost the ``batch`` field (one acceptance path).
-CACHE_SCHEMA_VERSION = 5
+#: v6: ProfileUnit simulates under the assignment's scheduling class.
+CACHE_SCHEMA_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,7 @@ class CriteriaUnit:
     no set maps to ``None`` (NaN downstream), and dynamic axes are
     ``None`` when no accepted set was simulated.  Global algorithms
     place tasks at runtime, so their static axes use the evenly-spread
-    raw utilization and their simulations route through
-    :func:`repro.kernel.global_sim.build_global_assignment`.
+    raw utilization; every assignment simulates under its own class.
     """
 
     n_cores: int
@@ -452,7 +452,6 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
     import math
 
     from repro.experiments.algorithms import ALGORITHMS, build_assignments
-    from repro.kernel.global_sim import build_global_assignment
     from repro.kernel.sim import KernelSim
     from repro.model.generator import TaskSetGenerator
 
@@ -469,15 +468,12 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
     def _mean(values):
         return sum(values) / len(values)
 
-    def _simulate(taskset, assignment, spec):
+    def _simulate(taskset, assignment):
         result = KernelSim(
-            build_global_assignment(taskset, unit.n_cores)
-            if spec.kind == "global"
-            else assignment,
+            assignment,
             unit.overheads,
             duration=2 * max(task.period for task in taskset),
             seed=unit.seed,
-            sched_class=spec.sched_class,
         ).run()
         releases = max(1, result.releases)
         hyperperiod = math.lcm(*(t.period for t in taskset))
@@ -504,15 +500,15 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
         )
         # Algorithms handed the same assignment object (FFD read off
         # FP-TS) share one simulation: same inputs, same result.
-        runs: Dict[Tuple[int, str], tuple] = {}
+        runs: Dict[int, tuple] = {}
         for name in names:
-            spec = ALGORITHMS[name]
             assignment = built[name]
             if assignment is None:
                 continue
-            if spec.kind == "global":
+            if ALGORITHMS[name].kind == "global":
                 # Placement is a runtime decision; statically the load
-                # is spread evenly (placeholder assignments are empty).
+                # is spread evenly (the assignment packs every task on
+                # core 0).
                 total = sum(t.wcet / t.period for t in taskset)
                 core_utils = [total / unit.n_cores] * unit.n_cores
             else:
@@ -529,9 +525,9 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
             )
             if len(dynamic_rows[name]) >= unit.sim_sets:
                 continue
-            key = (id(assignment), spec.sched_class)
+            key = id(assignment)
             if key not in runs:
-                runs[key] = _simulate(taskset, assignment, spec)
+                runs[key] = _simulate(taskset, assignment)
             dynamic_rows[name].append(runs[key])
 
     criteria: Dict[str, Optional[dict]] = {}

@@ -30,6 +30,7 @@ from repro.analysis.global_bounds import (
     global_edf_gfb_schedulable,
     global_rm_us_schedulable,
 )
+from repro.kernel.global_sim import build_global_assignment
 from repro.model.assignment import Assignment
 from repro.model.taskset import TaskSet
 from repro.overhead.accounting import inflate_taskset
@@ -58,12 +59,11 @@ class AlgorithmSpec:
     kind: str  # "partitioned" | "semi-partitioned" | "global"
     fn: PartitionFn
     description: str
-    #: Scheduling class the simulator should run this algorithm's
-    #: assignments under (:data:`repro.kernel.sched_class.SCHED_CLASSES`
-    #: registry name).  EDF-side partitioners need deadline-keyed ready
-    #: queues; the global tests route through
-    #: :func:`repro.kernel.global_sim.build_global_assignment` and a
-    #: shared-queue class.
+    #: Scheduling class this algorithm's assignments are correct under
+    #: (:data:`repro.kernel.sched_class.SCHED_CLASSES` registry name):
+    #: EDF-side partitioners need deadline-keyed ready queues, the global
+    #: tests a shared-queue class.  The only algorithm -> class table:
+    #: :func:`build_assignment` stamps it on every assignment.
     sched_class: str = "fp"
 
 
@@ -79,19 +79,18 @@ def _with_inflation(
 
 
 def _global_edf(taskset: TaskSet, n_cores: int) -> Optional[Assignment]:
-    """GFB acceptance; returns a placeholder assignment (global scheduling
-    produces no partition — simulate
-    :func:`repro.kernel.global_sim.build_global_assignment` under the
-    ``global-edf`` scheduling class)."""
+    """GFB acceptance.  Placement is a runtime decision, so the accepted
+    assignment is the shared-queue shape
+    :func:`~repro.kernel.global_sim.build_global_assignment` builds."""
     if global_edf_gfb_schedulable(taskset, n_cores):
-        return Assignment(n_cores)
+        return build_global_assignment(taskset, n_cores)
     return None
 
 
 def _global_rm(taskset: TaskSet, n_cores: int) -> Optional[Assignment]:
-    """RM-US acceptance; placeholder assignment as for ``_global_edf``."""
+    """RM-US acceptance; the assignment as for ``_global_edf``."""
     if global_rm_us_schedulable(taskset, n_cores):
-        return Assignment(n_cores)
+        return build_global_assignment(taskset, n_cores)
     return None
 
 
@@ -248,7 +247,9 @@ def build_assignment(
     The assignment records each task's raw WCET
     (:attr:`~repro.model.assignment.Assignment.raw_wcet`), so simulating
     it charges the overheads once, as kernel work, and not a second
-    time through inflated job demands.
+    time through inflated job demands.  It also records the algorithm's
+    scheduling class (:attr:`AlgorithmSpec.sched_class`), so the
+    simulator dispatches it the way the analysis assumed.
     """
     try:
         spec = ALGORITHMS[algorithm]
@@ -260,6 +261,7 @@ def build_assignment(
     assignment = spec.fn(taskset, n_cores, model)
     if assignment is not None:
         assignment.raw_wcet = {task.name: task.wcet for task in taskset}
+        assignment.sched_class = spec.sched_class
     return assignment
 
 

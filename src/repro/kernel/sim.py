@@ -166,6 +166,9 @@ class SimulationResult:
     #: vector and power model.  Producers that don't account energy (the
     #: frozen legacy simulator) leave it empty; checkers skip it then.
     energy: EnergyLedger = field(default_factory=EnergyLedger.empty)
+    #: Registry name of the class the run dispatched under (the frozen
+    #: legacy simulator predates the field and leaves the default).
+    sched_class: str = "fp"
 
     @property
     def miss_count(self) -> int:
@@ -327,11 +330,6 @@ class KernelSim:
         completes there without migrating further.  Under per-core
         frequencies every demand keeps its fraction of the dilated
         budgets.
-    policy:
-        Per-core scheduling policy: ``"fp"`` (fixed local priorities, the
-        paper's scheduler) or ``"edf"`` (earliest local deadline first;
-        split tasks run with per-stage deadlines, supporting the C=D
-        splitting scheme).
     sporadic_jitter:
         If positive, releases are *sporadic*: each inter-arrival is the
         period plus a uniform random delay in ``[0, sporadic_jitter]`` ns.
@@ -354,7 +352,7 @@ class KernelSim:
         Optional :class:`~repro.model.resources.ResourceModel`: jobs lock
         resources at their declared work offsets and run at the resource's
         ceiling priority while holding it (immediate priority ceiling
-        protocol).  FP policy only; split tasks must not use resources.
+        protocol).  FP class only; split tasks must not use resources.
         Analyse with
         :func:`repro.analysis.blocking.core_schedulable_with_resources`.
     profile:
@@ -401,11 +399,10 @@ class KernelSim:
         :data:`repro.kernel.sched_class.SCHED_CLASSES` (``"fp"``,
         ``"edf"``, ``"restricted"``, ``"global-edf"``, ``"global-rm"``,
         ``"fair"``) or a ready :class:`~repro.kernel.sched_class.
-        SchedulingClass` instance.  ``None`` (the default) derives the
-        class from ``policy``, preserving the pre-plugin behaviour
-        bit-identically (pinned by the legacy-vs-plugin differential
-        pair).  Class instances are stateful and single-use, like the
-        simulator itself.
+        SchedulingClass` instance.  ``None`` (the default) runs the
+        class the assignment records (:attr:`~repro.model.assignment.
+        Assignment.sched_class`).  Class instances are stateful and
+        single-use, like the simulator itself.
     fair_tasks:
         Optional best-effort background tasks, scheduled by the EEVDF-
         style fair class *alongside* the hard-RT tasks of the
@@ -440,7 +437,6 @@ class KernelSim:
         record_trace: bool = False,
         release_offsets: Optional[Dict[str, int]] = None,
         execution_times: Optional[Dict[str, int]] = None,
-        policy: str = "fp",
         sporadic_jitter: int = 0,
         execution_variation: float = 0.0,
         seed: int = 0,
@@ -494,14 +490,10 @@ class KernelSim:
             **assignment.raw_wcet,
             **(execution_times or {}),
         }
-        if policy not in ("fp", "edf"):
-            raise ValueError(f"unknown policy {policy!r}; use 'fp' or 'edf'")
-        self.policy = policy
-        self._edf = policy == "edf"
         # Resolve the scheduling-class plugin (binding happens below,
         # after the metrics layer may have wrapped the ready queues).
         self.sched_class: SchedulingClass = make_sched_class(
-            policy if sched_class is None else sched_class
+            assignment.sched_class if sched_class is None else sched_class
         )
         self._fair_class: Optional[SchedulingClass] = None
         self._fair_names: frozenset = frozenset()
@@ -588,7 +580,7 @@ class KernelSim:
             {} for _ in range(assignment.n_cores)
         ]
         if resources is not None and not resources.is_empty:
-            if policy != "fp" or self.sched_class.name != "fp":
+            if self.sched_class.name != "fp":
                 raise ValueError(
                     "resource sharing is only supported under the FP policy"
                 )
@@ -745,6 +737,7 @@ class KernelSim:
                 else FaultLog()
             ),
             energy=self.energy,
+            sched_class=self.sched_class.name,
         )
 
     def _dilate_rt(self, rt: RTTask) -> RTTask:

@@ -117,6 +117,12 @@ class Assignment:
     explicitly, so it runs each job for the raw WCET.
     :func:`repro.experiments.algorithms.build_assignment` fills it in; a
     task missing from it demands its full entry budgets.
+
+    ``sched_class`` names the scheduling class
+    (:data:`repro.kernel.sched_class.SCHED_CLASSES`) the assignment is
+    correct under: the simulator dispatches it that way unless told
+    otherwise.  ``build_assignment`` stamps the algorithm's class; an
+    assignment built any other way runs under FP.
     """
 
     def __init__(self, n_cores: int) -> None:
@@ -127,6 +133,7 @@ class Assignment:
         ]
         self.split_tasks: Dict[str, SplitTask] = {}
         self.raw_wcet: Dict[str, int] = {}
+        self.sched_class = "fp"
 
     @property
     def n_cores(self) -> int:

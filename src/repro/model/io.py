@@ -88,12 +88,14 @@ def load_taskset(path: Union[str, Path]) -> TaskSet:
 # Assignment serialisation
 # ----------------------------------------------------------------------
 #
-# Schema: ``{"n_cores": m, "entries": [ {...}, ... ]}`` with one record per
-# entry; split tasks are reconstructed from their subtask records.  Times
-# stay in nanoseconds here (assignments are machine artefacts, not
-# hand-written files).  A task record carries ``raw_wcet_ns`` when the
-# assignment knows the task's WCET before overhead inflation (the
-# execution demand the simulator gives its jobs).
+# Schema: ``{"n_cores": m, "sched_class": c, "entries": [ {...}, ... ]}``
+# with one record per entry; split tasks are reconstructed from their
+# subtask records.  ``sched_class`` is the scheduling class the
+# assignment runs under (``"fp"`` when absent).  Times stay in
+# nanoseconds here (assignments are machine artefacts, not hand-written
+# files).  A task record carries ``raw_wcet_ns`` when the assignment
+# knows the task's WCET before overhead inflation (the execution demand
+# the simulator gives its jobs).
 
 
 def assignment_to_dict(assignment) -> dict:
@@ -125,14 +127,19 @@ def assignment_to_dict(assignment) -> dict:
         if raw is not None:
             record["task"]["raw_wcet_ns"] = raw
         entries.append(record)
-    return {"n_cores": assignment.n_cores, "entries": entries}
+    return {"n_cores": assignment.n_cores,
+            "sched_class": assignment.sched_class, "entries": entries}
 
 
 def assignment_from_dict(data: dict):
+    from repro.kernel.sched_class import SCHED_CLASSES
     from repro.model.assignment import Assignment, Entry, EntryKind
     from repro.model.split import SplitTask, Subtask
 
     assignment = Assignment(data["n_cores"])
+    assignment.sched_class = data.get("sched_class", "fp")
+    if assignment.sched_class not in SCHED_CLASSES:
+        raise ValueError(f"unknown sched_class {assignment.sched_class!r}")
     tasks: dict = {}
     split_pieces: dict = {}
     for record in data["entries"]:

@@ -39,7 +39,9 @@ def partition_edf(
 
     Priorities must still be assigned (they order the entries for the
     shared bookkeeping) but play no role in the admission decision or at
-    run time — simulate the result with ``KernelSim(..., policy="edf")``.
+    run time.  ``build_assignment("P-EDF", ...)`` records the ``edf``
+    scheduling class on the result; a direct call leaves the FP default,
+    so simulate it with ``KernelSim(..., sched_class="edf")``.
     """
     return partition_taskset(taskset, n_cores, placement, edf_admission)
 

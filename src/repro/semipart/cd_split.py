@@ -24,8 +24,10 @@ Soundness details:
 * migration overheads are charged per piece via :class:`CdSplitConfig`
   (same located-charge discipline as FP-TS).
 
-The produced assignments carry per-stage deadlines, so
-``KernelSim(..., policy="edf")`` executes them directly.
+The produced assignments carry per-stage deadlines, so the ``edf``
+scheduling class executes them directly:
+``build_assignment("C=D", ...)`` records that class on the assignment
+(a direct call leaves the FP default; pass ``sched_class="edf"``).
 
 Admission runs on per-core demand-bound contexts from
 :mod:`repro.analysis.incremental`: the

@@ -59,17 +59,6 @@ _FAIR_BASE = 1 << 56
 GLOBAL_CLASSES = ("global-edf", "global-rm")
 
 
-def _effective_class(ctx: "CheckContext") -> str:
-    """The scheduling class a run actually used.
-
-    ``sched_class="auto"`` mirrors the simulator's default of deriving
-    the class from ``policy`` (``fp`` or ``edf``).
-    """
-    if ctx.sched_class and ctx.sched_class != "auto":
-        return ctx.sched_class
-    return ctx.policy
-
-
 @dataclass(frozen=True)
 class TraceViolation:
     kind: str
@@ -89,7 +78,6 @@ class CheckContext:
     trace: List[tuple]
     assignment: Assignment
     events: List[tuple] = field(default_factory=list)
-    policy: str = "fp"
     duration: int = 0
     overhead_ns: Optional[List[int]] = None
     busy_ns: Optional[List[int]] = None
@@ -113,9 +101,8 @@ class CheckContext:
     #: release jitter is active.  Callers clear this flag otherwise.
     edf_keys_reliable: bool = True
     #: Scheduling class the run used (``repro.kernel.sched_class``
-    #: registry name).  ``"auto"`` derives it from ``policy``, matching
-    #: the simulator's default.
-    sched_class: str = "auto"
+    #: registry name).
+    sched_class: str = "fp"
     #: Names of fair-class (non-hard-deadline) tasks the run coexisted
     #: with.  Their ready windows carry virtual-deadline keys the trace
     #: cannot reconstruct, so priority oracles treat them specially.
@@ -125,20 +112,18 @@ class CheckContext:
     def from_result(
         result,
         assignment: Assignment,
-        policy: str = "fp",
         overheads=None,
         expected_work: Optional[Dict[str, int]] = None,
         has_resources: bool = False,
         edf_keys_reliable: bool = True,
-        sched_class: str = "auto",
         fair_tasks: Optional[Set[str]] = None,
     ) -> "CheckContext":
-        """Build a full context from a :class:`SimulationResult`."""
+        """Build a full context from a :class:`SimulationResult`; the
+        scheduling class is the one the run recorded."""
         return CheckContext(
             trace=result.trace,
             assignment=assignment,
             events=result.events,
-            policy=policy,
             duration=result.duration,
             overhead_ns=list(result.overhead_ns),
             busy_ns=list(result.busy_ns),
@@ -150,7 +135,7 @@ class CheckContext:
             expected_work=expected_work,
             has_resources=has_resources,
             edf_keys_reliable=edf_keys_reliable,
-            sched_class=sched_class,
+            sched_class=result.sched_class,
             fair_tasks=fair_tasks,
         )
 
@@ -206,8 +191,12 @@ def run_checkers(
 def validate_trace(
     trace: List[tuple], assignment: Assignment
 ) -> List[TraceViolation]:
-    """Structural invariant violations only (legacy API; empty = clean)."""
-    ctx = CheckContext(trace=trace, assignment=assignment)
+    """Structural invariant violations only (legacy API; empty = clean),
+    for a trace run under the class the assignment records."""
+    ctx = CheckContext(
+        trace=trace, assignment=assignment,
+        sched_class=assignment.sched_class,
+    )
     return run_checkers(ctx, STRUCTURAL_CHECKS)
 
 
@@ -267,7 +256,7 @@ def _check_job_parallelism(ctx: CheckContext) -> List[TraceViolation]:
 
 @register_checker("placement")
 def _check_placement(ctx: CheckContext) -> List[TraceViolation]:
-    if _effective_class(ctx) in GLOBAL_CLASSES:
+    if ctx.sched_class in GLOBAL_CLASSES:
         # Global classes place jobs on any core at run time; the static
         # assignment only carries task parameters (all entries on core 0).
         return []
@@ -293,7 +282,7 @@ def _check_placement(ctx: CheckContext) -> List[TraceViolation]:
 def _check_budget(ctx: CheckContext) -> List[TraceViolation]:
     violations: List[TraceViolation] = []
     budgets: Dict[Tuple[str, int], int] = {}
-    restricted = _effective_class(ctx) == "restricted"
+    restricted = ctx.sched_class == "restricted"
     for entry in ctx.assignment.entries():
         if restricted:
             # Restricted migration runs each *whole* job on one of the
@@ -482,7 +471,7 @@ def _check_preemption_order(ctx: CheckContext) -> List[TraceViolation]:
     """
     if not ctx.events or ctx.has_resources:
         return []
-    sched_class = _effective_class(ctx)
+    sched_class = ctx.sched_class
     global_mode = sched_class in GLOBAL_CLASSES
     edf = sched_class == "edf"
     if sched_class in ("edf", "global-edf") and not ctx.edf_keys_reliable:
@@ -772,7 +761,7 @@ def _check_handoff_order(ctx: CheckContext) -> List[TraceViolation]:
     """
     if not ctx.assignment.split_tasks:
         return []
-    if _effective_class(ctx) in ("restricted",) + GLOBAL_CLASSES:
+    if ctx.sched_class in ("restricted",) + GLOBAL_CLASSES:
         # Restricted migration and the global classes re-plan each job's
         # stages at release time (whole job on one core); the static
         # subtask walk does not apply.

@@ -42,7 +42,7 @@ Eleven pairs, each exercising a different redundancy in the codebase:
   produce bit-identical full-granularity results — every counter,
   per-task stat, miss, trace segment, event, and fault-log entry — to
   the scheduling-class-based :class:`~repro.kernel.sim.KernelSim`, over
-  both policies, the fault-plan matrix, and every overrun policy;
+  the fp and edf classes, the fault-plan matrix, and every overrun policy;
 * **cross-class-sanity** — trace-level laws relating scheduling classes:
   global EDF never leaves a core idle while a job waits in the shared
   ready queue (work conservation, reconstructed from the event log and
@@ -668,7 +668,9 @@ def tie_case(seed: int):
       horizon), or one nanosecond before it (an op end past it).
 
     Returns ``(variant, assignment, model, duration, kwargs)``, or None
-    when no accepted task set turned up.
+    when no accepted task set turned up.  ``kwargs`` are the simulator
+    options both simulators share; the legacy one also takes
+    ``policy=assignment.sched_class``.
     """
     from repro.experiments.algorithms import build_assignment
     from repro.kernel.legacy import LegacyKernelSim
@@ -677,8 +679,7 @@ def tie_case(seed: int):
 
     rng = random.Random(seed)
     variant = TIE_VARIANTS[seed % len(TIE_VARIANTS)]
-    policy = "fp" if seed % 2 == 0 else "edf"
-    algorithm = "FP-TS" if policy == "fp" else "C=D"
+    algorithm = ("FP-TS", "C=D")[seed % 2]
     base = rng.choice((1, 2, 4)) * MS
     assignment = None
     for _attempt in range(20):
@@ -702,7 +703,6 @@ def tie_case(seed: int):
     hyperperiod = max(task.period for task in taskset)
     kwargs = dict(
         record_trace=True,
-        policy=policy,
         seed=seed,
         tick_ns=base * rng.choice((3, 5, 7)) // 4,
     )
@@ -710,7 +710,10 @@ def tie_case(seed: int):
         model = OverheadModel.zero()
         return variant, assignment, model, 2 * hyperperiod, kwargs
     model = OverheadModel.paper_core_i7(2)
-    probe = LegacyKernelSim(assignment, model, 2 * hyperperiod, **kwargs).run()
+    probe = LegacyKernelSim(
+        assignment, model, 2 * hyperperiod,
+        policy=assignment.sched_class, **kwargs,
+    ).run()
     ends = sorted(
         {end for _core, start, end, _label, kind in probe.trace
          if kind == "overhead" and hyperperiod // 2 <= end < 2 * hyperperiod}
@@ -741,16 +744,15 @@ def legacy_vs_plugin(trials: int = 20, seed: int = 0) -> List[str]:
     from repro.kernel.sim import KernelSim
 
     combos = [
-        (policy, plan_kind, overrun_policy)
-        for policy in ("fp", "edf")
+        (algorithm, plan_kind, overrun_policy)
+        for algorithm in ("FP-TS", "C=D")
         for plan_kind in ("none", "moderate", "full")
         for overrun_policy in OVERRUN_POLICIES
     ]
     diffs: List[str] = []
     for trial in range(trials):
-        policy, plan_kind, overrun_policy = combos[trial % len(combos)]
+        algorithm, plan_kind, overrun_policy = combos[trial % len(combos)]
         run_seed = seed + trial
-        algorithm = "FP-TS" if policy == "fp" else "C=D"
         taskset, assignment = _accepted_assignment(algorithm, run_seed)
         if assignment is None:
             diffs.append(
@@ -761,7 +763,6 @@ def legacy_vs_plugin(trials: int = 20, seed: int = 0) -> List[str]:
         duration = 4 * max(t.period for t in taskset)
         kwargs = dict(
             record_trace=True,
-            policy=policy,
             sporadic_jitter=MS,
             execution_variation=0.3,
             seed=run_seed,
@@ -770,7 +771,8 @@ def legacy_vs_plugin(trials: int = 20, seed: int = 0) -> List[str]:
         )
         legacy = result_to_canonical(
             LegacyKernelSim(
-                assignment, OverheadModel.paper_core_i7(2), duration, **kwargs
+                assignment, OverheadModel.paper_core_i7(2), duration,
+                policy=assignment.sched_class, **kwargs,
             ).run()
         )
         kwargs["faults"] = _fault_plan(plan_kind, run_seed)  # fresh RNG
@@ -782,7 +784,7 @@ def legacy_vs_plugin(trials: int = 20, seed: int = 0) -> List[str]:
         detail = _diff_canonical(legacy, plugin, "legacy", "plugin")
         if detail:
             diffs.append(
-                f"trial {trial} ({policy}, faults={plan_kind}, "
+                f"trial {trial} ({algorithm}, faults={plan_kind}, "
                 f"overrun={overrun_policy}): " + "; ".join(detail[:3])
             )
         case = tie_case(run_seed)
@@ -792,7 +794,10 @@ def legacy_vs_plugin(trials: int = 20, seed: int = 0) -> List[str]:
         variant, assignment, model, duration, kwargs = case
         detail = _diff_canonical(
             result_to_canonical(
-                LegacyKernelSim(assignment, model, duration, **kwargs).run()
+                LegacyKernelSim(
+                    assignment, model, duration,
+                    policy=assignment.sched_class, **kwargs,
+                ).run()
             ),
             result_to_canonical(
                 KernelSim(assignment, model, duration, **kwargs).run()
@@ -1043,8 +1048,7 @@ def freq1_vs_unscaled(trials: int = 6, seed: int = 0) -> List[str]:
     for trial in range(trials):
         run_seed = seed + trial
         plan_kind = ("none", "moderate", "full")[trial % 3]
-        policy = "fp" if trial % 2 == 0 else "edf"
-        algorithm = "FP-TS" if policy == "fp" else "C=D"
+        algorithm = ("FP-TS", "C=D")[trial % 2]
         taskset, assignment = _accepted_assignment(algorithm, run_seed)
         if assignment is None:
             diffs.append(
@@ -1060,7 +1064,6 @@ def freq1_vs_unscaled(trials: int = 6, seed: int = 0) -> List[str]:
                 OverheadModel.paper_core_i7(4),
                 duration,
                 record_trace=True,
-                policy=policy,
                 sporadic_jitter=MS,
                 execution_variation=0.3,
                 seed=run_seed,
@@ -1079,7 +1082,7 @@ def freq1_vs_unscaled(trials: int = 6, seed: int = 0) -> List[str]:
         )
         if detail:
             diffs.append(
-                f"trial {trial} ({policy}, faults={plan_kind}): "
+                f"trial {trial} ({algorithm}, faults={plan_kind}): "
                 + "; ".join(detail[:3])
             )
         if unscaled.energy != freq1.energy:

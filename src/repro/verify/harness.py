@@ -44,8 +44,6 @@ from repro.verify.scenario import Scenario, ScenarioTask, check_scenario
 
 #: Constructive algorithms (produce an assignment the simulator can run).
 ALGORITHMS = ("FP-TS", "C=D", "FFD", "WFD", "BFD", "P-EDF", "SPA2")
-#: Algorithms whose assignments the simulator runs under EDF dispatch.
-EDF_SIDE = ("C=D", "P-EDF")
 #: Acceptance involves no integer budget-splitting, so exact ×k scaling
 #: preserves the verdict bit-for-bit.
 SCALE_SAFE = ("FFD", "WFD", "BFD", "P-EDF")
@@ -59,6 +57,8 @@ TRIAL_SEED_STRIDE = 6151
 
 def random_scenario(rng: random.Random) -> Scenario:
     """Draw one random end-to-end scenario."""
+    from repro.experiments.algorithms import ALGORITHMS as REGISTRY
+
     n_cores = rng.choice([2, 4])
     n_tasks = rng.randint(4, 10)
     normalized = rng.uniform(0.3, 0.9)
@@ -94,16 +94,15 @@ def random_scenario(rng: random.Random) -> Scenario:
         }
         overrun_policy = rng.choice(list(OVERRUN_POLICIES))
     # Occasionally override the scheduling class with restricted
-    # migration (FP-keyed, so only on FP-side algorithms): its job-level
+    # migration (FP-keyed, so only on FP-class algorithms): its job-level
     # stage re-planning must still satisfy every structural oracle.
-    sched_class = "auto"
-    if algorithm not in EDF_SIDE and rng.random() < 0.2:
+    sched_class = None
+    if REGISTRY[algorithm].sched_class == "fp" and rng.random() < 0.2:
         sched_class = "restricted"
     return Scenario(
         tasks=tasks,
         n_cores=n_cores,
         algorithm=algorithm,
-        policy="edf" if algorithm in EDF_SIDE else "fp",
         overheads=rng.choice(["zero", "zero", "paper"]),
         duration_factor=8,
         tick_ns=rng.choice([0, 0, 0, MS]),

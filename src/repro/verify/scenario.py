@@ -54,8 +54,6 @@ class Scenario:
     tasks: Tuple[ScenarioTask, ...]
     n_cores: int = 2
     algorithm: str = "FP-TS"
-    #: Simulator dispatch policy; EDF-side algorithms need ``"edf"``.
-    policy: str = "fp"
     #: Overhead model spec: ``"zero"``, ``"paper"`` or ``"paper*K"``.
     overheads: str = "zero"
     #: Simulation horizon as a multiple of the largest period.
@@ -67,10 +65,10 @@ class Scenario:
     overrun_policy: str = "run-on"
     #: ``FaultPlan.to_dict()`` payload, or None for a fault-free run.
     faults: Optional[dict] = None
-    #: Scheduling-class registry name (:data:`repro.kernel.sched_class.
-    #: SCHED_CLASSES`); ``"auto"`` derives the class from ``policy``,
-    #: matching the simulator's default.
-    sched_class: str = "auto"
+    #: Scheduling-class override (:data:`repro.kernel.sched_class.
+    #: SCHED_CLASSES` registry name); ``None`` runs the class the
+    #: algorithm's assignment records.
+    sched_class: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.tasks:
@@ -79,13 +77,13 @@ class Scenario:
             raise ValueError(
                 f"unknown overrun_policy {self.overrun_policy!r}"
             )
-        if self.sched_class != "auto":
+        if self.sched_class is not None:
             from repro.kernel.sched_class import SCHED_CLASSES
 
             if self.sched_class not in SCHED_CLASSES:
                 raise ValueError(
                     f"unknown sched_class {self.sched_class!r}; valid: "
-                    f"auto, {', '.join(sorted(SCHED_CLASSES))}"
+                    f"{', '.join(sorted(SCHED_CLASSES))}"
                 )
 
     # ------------------------------------------------------------------
@@ -212,16 +210,13 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         model,
         duration=scenario.horizon(),
         record_trace=True,
-        policy=scenario.policy,
         sporadic_jitter=scenario.sporadic_jitter,
         execution_variation=scenario.execution_variation,
         seed=scenario.sim_seed,
         tick_ns=scenario.tick_ns,
         faults=plan,
         overrun_policy=scenario.overrun_policy,
-        sched_class=(
-            None if scenario.sched_class == "auto" else scenario.sched_class
-        ),
+        sched_class=scenario.sched_class,
     )
     result = sim.run()
     report.miss_count = result.miss_count
@@ -236,7 +231,6 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     ctx = CheckContext.from_result(
         result,
         assignment,
-        policy=scenario.policy,
         overheads=model,
         expected_work=(
             _expected_work(assignment)
@@ -244,7 +238,6 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             else None
         ),
         edf_keys_reliable=(scenario.tick_ns == 0 and not plan_has_jitter),
-        sched_class=scenario.sched_class,
     )
     for violation in run_checkers(ctx):
         report.violations.append(f"{violation.kind}: {violation.detail}")
@@ -263,7 +256,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         and scenario.tick_ns == 0
         and (plan is None or plan.is_empty)
         and scenario.execution_variation == 0.0
-        and scenario.sched_class in ("auto", scenario.policy)
+        and result.sched_class == assignment.sched_class
     )
     if clean_conditions and result.miss_count:
         miss = result.misses[0]

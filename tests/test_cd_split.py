@@ -126,7 +126,7 @@ class TestSimulation:
             assignment,
             OverheadModel.zero(),
             duration=1 * SEC,
-            policy="edf",
+            sched_class="edf",
             record_trace=True,
         ).run()
         assert result.miss_count == 0
@@ -145,7 +145,7 @@ class TestSimulation:
             return
         horizon = 10 * max(task.period for task in ts)
         result = KernelSim(
-            assignment, OverheadModel.zero(), duration=horizon, policy="edf"
+            assignment, OverheadModel.zero(), duration=horizon, sched_class="edf"
         ).run()
         assert result.miss_count == 0, result.misses[:3]
 
@@ -173,7 +173,7 @@ class TestSimulation:
             assignment,
             model,
             duration=horizon,
-            policy="edf",
+            sched_class="edf",
             execution_times={t.name: t.wcet for t in ts},
         ).run()
         assert result.miss_count == 0, result.misses[:3]

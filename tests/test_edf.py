@@ -170,7 +170,7 @@ class TestEdfSimulatorPolicy:
         # (5,10) + (7,14): U = 1, EDF schedules it, RM cannot.
         assignment = self._edf_assignment([(5, 10), (7, 14)])
         result = KernelSim(
-            assignment, OverheadModel.zero(), duration=700, policy="edf"
+            assignment, OverheadModel.zero(), duration=700, sched_class="edf"
         ).run()
         assert result.miss_count == 0
         assert result.busy_ns[0] == 700  # never idle at U = 1
@@ -178,7 +178,7 @@ class TestEdfSimulatorPolicy:
     def test_same_set_misses_under_fp(self):
         assignment = self._edf_assignment([(5, 10), (7, 14)])
         result = KernelSim(
-            assignment, OverheadModel.zero(), duration=700, policy="fp"
+            assignment, OverheadModel.zero(), duration=700, sched_class="fp"
         ).run()
         assert result.miss_count > 0
 
@@ -186,7 +186,7 @@ class TestEdfSimulatorPolicy:
         assignment = self._edf_assignment([(1, 10)])
         with pytest.raises(ValueError):
             KernelSim(
-                assignment, OverheadModel.zero(), duration=100, policy="lifo"
+                assignment, OverheadModel.zero(), duration=100, sched_class="lifo"
             )
 
     def test_edf_runs_split_tasks_with_stage_deadlines(self):
@@ -208,7 +208,7 @@ class TestEdfSimulatorPolicy:
             assignment,
             OverheadModel.zero(),
             duration=100 * MS,
-            policy="edf",
+            sched_class="edf",
         ).run()
         assert result.migrations == 10
 
@@ -218,6 +218,6 @@ class TestEdfSimulatorPolicy:
             assignment,
             OverheadModel.paper_core_i7(4).scaled(0.0001),
             duration=3000,
-            policy="edf",
+            sched_class="edf",
         ).run()
         assert result.miss_count == 0

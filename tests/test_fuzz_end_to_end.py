@@ -76,7 +76,6 @@ def test_fuzz_pipeline(trial):
         )
         for task in taskset
     )
-    policy = "edf" if algorithm in ("C=D", "P-EDF") else "fp"
 
     # Zero-overhead worst-case run: must be miss-free (the "clean-miss"
     # oracle) and satisfy every registered invariant checker.
@@ -84,7 +83,6 @@ def test_fuzz_pipeline(trial):
         tasks=tasks,
         n_cores=n_cores,
         algorithm=algorithm,
-        policy=policy,
         overheads="zero",
         duration_factor=8,
     )

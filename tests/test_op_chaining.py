@@ -54,7 +54,9 @@ def test_tie_family_matches_legacy(seed):
     case = tie_case(seed)
     assert case is not None
     _variant, assignment, model, duration, kwargs = case
-    legacy = LegacyKernelSim(assignment, model, duration, **kwargs).run()
+    legacy = LegacyKernelSim(
+        assignment, model, duration, policy=assignment.sched_class, **kwargs
+    ).run()
     plugin = KernelSim(assignment, model, duration, **kwargs).run()
     assert result_to_canonical(plugin) == result_to_canonical(legacy)
 

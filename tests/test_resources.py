@@ -242,7 +242,7 @@ class TestIpcpSimulation:
                 assignment,
                 OverheadModel.zero(),
                 duration=100,
-                policy="edf",
+                sched_class="edf",
                 resources=model,
             )
 

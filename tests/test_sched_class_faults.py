@@ -55,13 +55,14 @@ PACKED_TASKS = (
     ScenarioTask(name="d", wcet=6 * MS, period=33 * MS),
 )
 
-#: class label -> (tasks, algorithm, policy, sched_class override).
+#: class label -> (tasks, algorithm, sched_class override; None runs
+#: the algorithm's own class).
 CLASS_CONFIGS = {
-    "fp": (SPLIT_TASKS, "FP-TS", "fp", "auto"),
-    "edf": (SPLIT_TASKS, "C=D", "edf", "auto"),
-    "restricted": (SPLIT_TASKS, "FP-TS", "fp", "restricted"),
-    "global-edf": (PACKED_TASKS, "FFD", "fp", "global-edf"),
-    "global-rm": (PACKED_TASKS, "FFD", "fp", "global-rm"),
+    "fp": (SPLIT_TASKS, "FP-TS", None),
+    "edf": (SPLIT_TASKS, "C=D", None),
+    "restricted": (SPLIT_TASKS, "FP-TS", "restricted"),
+    "global-edf": (PACKED_TASKS, "FFD", "global-edf"),
+    "global-rm": (PACKED_TASKS, "FFD", "global-rm"),
 }
 
 #: fault label -> (faults payload, overrun_policy, overheads spec).
@@ -132,7 +133,7 @@ ALL_CELLS = [
 
 
 def _cell_scenario(class_label: str, fault_label: str, seed: int) -> Scenario:
-    tasks, algorithm, policy, sched_class = CLASS_CONFIGS[class_label]
+    tasks, algorithm, sched_class = CLASS_CONFIGS[class_label]
     faults, overrun_policy, overheads = FAULT_KINDS[fault_label]
     if overheads != "zero":
         # Overhead-laden analysis inflates budgets past what the heavy
@@ -143,7 +144,6 @@ def _cell_scenario(class_label: str, fault_label: str, seed: int) -> Scenario:
         tasks=tasks,
         n_cores=2,
         algorithm=algorithm,
-        policy=policy,
         overheads=overheads,
         duration_factor=8,
         sim_seed=seed,

@@ -26,6 +26,8 @@ keys) and the ``cross-class-sanity`` differential pair.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.algorithms import ALGORITHMS, build_assignment
@@ -573,9 +575,8 @@ class TestClassAwareOracles:
             record_trace=True,
             sched_class="global-edf",
         ).run()
-        ctx = CheckContext.from_result(
-            result, assignment, sched_class="global-edf"
-        )
+        ctx = CheckContext.from_result(result, assignment)
+        assert ctx.sched_class == "global-edf"
         assert run_checkers(ctx) == []
 
     def test_preemption_order_flags_global_inversion(self):
@@ -663,14 +664,13 @@ class TestClassAwareOracles:
             record_trace=True,
             sched_class="restricted",
         ).run()
-        restricted_ctx = CheckContext.from_result(
-            result, assignment, sched_class="restricted"
-        )
+        restricted_ctx = CheckContext.from_result(result, assignment)
+        assert restricted_ctx.sched_class == "restricted"
         assert run_checkers(
             restricted_ctx, ["budget", "handoff-order", "preemption-order"]
         ) == []
-        # The same trace read with default-fp semantics violates the
-        # subtask-walk invariant (jobs start on later-stage cores) —
-        # the class-aware skip is load-bearing.
-        fp_ctx = CheckContext.from_result(result, assignment)
+        # The same trace read with fp semantics violates the subtask-walk
+        # invariant (jobs start on later-stage cores) — the class-aware
+        # skip is load-bearing.
+        fp_ctx = dataclasses.replace(restricted_ctx, sched_class="fp")
         assert run_checkers(fp_ctx, ["handoff-order"]) != []

@@ -16,7 +16,7 @@ from repro.verify import (
     run_harness,
     run_trial,
 )
-from repro.verify.harness import EDF_SIDE, GREEDY, TRIAL_SEED_STRIDE
+from repro.verify.harness import GREEDY, TRIAL_SEED_STRIDE
 
 
 def test_random_scenario_is_deterministic():
@@ -27,11 +27,27 @@ def test_random_scenario_is_deterministic():
     assert a != c
 
 
-def test_random_scenario_policy_matches_algorithm():
+def test_random_scenario_assignment_class_matches_algorithm():
+    from repro.experiments.algorithms import ALGORITHMS, build_assignment
+
+    accepted = 0
     for seed in range(30):
         scenario = random_scenario(random.Random(seed))
-        expected = "edf" if scenario.algorithm in EDF_SIDE else "fp"
-        assert scenario.policy == expected
+        assignment = build_assignment(
+            scenario.algorithm,
+            scenario.taskset(),
+            scenario.n_cores,
+            scenario.overhead_model(),
+        )
+        if assignment is None:
+            continue
+        accepted += 1
+        expected = ALGORITHMS[scenario.algorithm].sched_class
+        assert assignment.sched_class == expected
+        if scenario.sched_class is not None:
+            # The only override drawn: restricted, on FP-class algorithms.
+            assert (scenario.sched_class, expected) == ("restricted", "fp")
+    assert accepted
 
 
 def test_scenario_dict_roundtrip():

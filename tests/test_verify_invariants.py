@@ -42,7 +42,7 @@ def _two_task_scenario() -> Scenario:
     )
 
 
-def _simulated_context(overheads=None, policy="fp"):
+def _simulated_context(overheads=None):
     """A full CheckContext from one small overhead-laden FP-TS-style run."""
     model = overheads or OverheadModel.paper_core_i7(2)
     taskset = TaskSet(
@@ -59,12 +59,11 @@ def _simulated_context(overheads=None, policy="fp"):
         model,
         duration=80 * MS,
         record_trace=True,
-        policy=policy,
     ).run()
     expected = {t.name: t.wcet for t in taskset}
     return (
         CheckContext.from_result(
-            result, assignment, policy=policy, overheads=model,
+            result, assignment, overheads=model,
             expected_work=expected,
         ),
         result,
@@ -109,7 +108,6 @@ class TestCleanRuns:
             ),
             n_cores=2,
             algorithm="P-EDF",
-            policy="edf",
             overheads="paper",
             duration_factor=3,
         )
